@@ -246,17 +246,16 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// benchMachineCycle measures the out-of-order pipeline's per-cycle cost
-// on a warm, reused machine (one op = one bounded simulation) under the
-// given scheduler. Steady state allocates nothing either way.
-func benchMachineCycle(b *testing.B, sched ooo.Scheduler) {
+// BenchmarkMachineCycle measures the out-of-order pipeline's per-cycle
+// cost on a warm, reused machine (one op = one bounded simulation).
+// Steady state allocates nothing.
+func BenchmarkMachineCycle(b *testing.B) {
 	w, _ := workload.ByName("gcc")
 	pr, img, err := workload.CompileSpec(w, 1, workload.BuildOptions{EDVI: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := ooo.DefaultConfig()
-	cfg.Scheduler = sched
 	cfg.MaxInsts = 100_000
 	m := ooo.New(pr, img, cfg)
 	if _, err := m.Run(); err != nil {
@@ -274,19 +273,6 @@ func benchMachineCycle(b *testing.B, sched ooo.Scheduler) {
 		cycles += st.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycle/s")
-}
-
-// BenchmarkMachineCycle is the pipeline under the default event-driven
-// scheduler.
-func BenchmarkMachineCycle(b *testing.B) {
-	benchMachineCycle(b, ooo.SchedEventDriven)
-}
-
-// BenchmarkMachineCyclePolled is the same pipeline under the polled
-// reference scheduler: the ratio between the two is the event-driven
-// scheduler's win (the rest of the pipeline is shared).
-func BenchmarkMachineCyclePolled(b *testing.B) {
-	benchMachineCycle(b, ooo.SchedPolled)
 }
 
 // BenchmarkSimulateInterp runs the full timing simulation of the li

@@ -596,7 +596,6 @@ func (g *Gateway) runJob(ctx context.Context, idx int, jr service.JobRequest, bo
 // the fleet and lines stream back in submission order — line i flushes
 // as soon as jobs 0..i are done, wherever each one ran.
 func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	ctx := r.Context()
 	if g.rec != nil {
 		ctx = obs.WithRecorder(ctx, g.rec)
@@ -608,7 +607,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 			span.SetAttr("code", code)
 			span.End()
 		}
-		g.met.observe("jobs", code, time.Since(start))
+		g.met.observe("jobs", code)
 	}()
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
@@ -765,7 +764,6 @@ func (g *Gateway) sendProxy(ctx context.Context, b *backend, path string, body [
 // fleet cannot answer.
 func (g *Gateway) proxyHandler(endpoint, path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		ctx := r.Context()
 		if g.rec != nil {
 			ctx = obs.WithRecorder(ctx, g.rec)
@@ -777,7 +775,7 @@ func (g *Gateway) proxyHandler(endpoint, path string) http.HandlerFunc {
 				span.SetAttr("code", code)
 				span.End()
 			}
-			g.met.observe(endpoint, code, time.Since(start))
+			g.met.observe(endpoint, code)
 		}()
 
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))

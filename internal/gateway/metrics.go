@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // gwMetrics tracks the gateway's recovery actions for /metrics. The
@@ -21,20 +20,22 @@ type gwMetrics struct {
 	fallbackLocal atomic.Int64 // jobs/requests served by the embedded session
 
 	mu       sync.Mutex
-	requests map[string]int64 // "endpoint|code" → count
-	totalDur map[string]float64
+	requests map[requestKey]int64
 }
 
-func (m *gwMetrics) observe(endpoint string, code int, d time.Duration) {
+// requestKey labels one dvid_gateway_requests_total series.
+type requestKey struct {
+	endpoint string
+	code     int
+}
+
+func (m *gwMetrics) observe(endpoint string, code int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.requests == nil {
-		m.requests = make(map[string]int64)
-		m.totalDur = make(map[string]float64)
+		m.requests = make(map[requestKey]int64)
 	}
-	key := fmt.Sprintf("%s|%d", endpoint, code)
-	m.requests[key]++
-	m.totalDur[key] += d.Seconds()
+	m.requests[requestKey{endpoint, code}]++
 }
 
 // handleMetrics is the gateway's GET /metrics (Prometheus text format).
@@ -44,14 +45,18 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# HELP dvid_gateway_requests_total Requests handled by the gateway, by endpoint and status code.\n")
 	b.WriteString("# TYPE dvid_gateway_requests_total counter\n")
 	g.met.mu.Lock()
-	keys := make([]string, 0, len(g.met.requests))
+	keys := make([]requestKey, 0, len(g.met.requests))
 	for k := range g.met.requests {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].endpoint != keys[j].endpoint {
+			return keys[i].endpoint < keys[j].endpoint
+		}
+		return keys[i].code < keys[j].code
+	})
 	for _, k := range keys {
-		parts := strings.SplitN(k, "|", 2)
-		fmt.Fprintf(&b, "dvid_gateway_requests_total{endpoint=%q,code=%q} %d\n", parts[0], parts[1], g.met.requests[k])
+		fmt.Fprintf(&b, "dvid_gateway_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, g.met.requests[k])
 	}
 	g.met.mu.Unlock()
 

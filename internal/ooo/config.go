@@ -11,32 +11,6 @@ import (
 	"dvi/internal/rename"
 )
 
-// Scheduler selects the simulator's internal scheduling algorithm. Both
-// produce bit-identical Stats on every program and configuration (pinned
-// by the differential tests in sched_test.go); they differ only in host
-// cost per simulated cycle.
-type Scheduler uint8
-
-const (
-	// SchedEventDriven (the default, zero value) drives issue and
-	// writeback from events: a completion wheel keyed by finish cycle,
-	// per-physical-register wakeup lists, and an age-ordered ready set,
-	// so each cycle touches only the instructions something happened to.
-	SchedEventDriven Scheduler = iota
-	// SchedPolled is the original sim-outorder-style implementation that
-	// rescans the whole window every cycle. Kept as the differential
-	// reference for the event-driven scheduler.
-	SchedPolled
-)
-
-// String names the scheduler for logs and test labels.
-func (s Scheduler) String() string {
-	if s == SchedPolled {
-		return "polled"
-	}
-	return "event"
-}
-
 // FetchPolicy selects how the fetch stage arbitrates its one I-cache
 // access per cycle among hardware contexts (meaningful only when
 // Config.Contexts > 1; a single-context machine always fetches its only
@@ -79,10 +53,6 @@ type Config struct {
 	// FetchPolicy arbitrates fetch among contexts (Contexts > 1 only).
 	FetchPolicy FetchPolicy
 
-	// Scheduler selects the simulation algorithm (not a property of the
-	// modelled machine: results are identical either way).
-	Scheduler Scheduler
-
 	IntALUs    int // total integer units
 	IntMulDiv  int // units capable of mul/div
 	CachePorts int // fully independent cache ports (§5.3 sweeps this)
@@ -109,11 +79,11 @@ type Config struct {
 
 	// Trace, when non-nil, receives a per-instruction pipeline lifecycle
 	// record for every instruction that leaves the machine (commit,
-	// squash, flush, drain), under either scheduler. Tracing does not
-	// change timing: with it off (nil, the default) the core's only
-	// overhead is a few integer stamps per instruction and the
-	// steady-state zero-alloc gates still hold. Not a property of the
-	// modelled machine — excluded from cache keys and report identity.
+	// squash, flush, drain). Tracing does not change timing: with it off
+	// (nil, the default) the core's only overhead is a few integer stamps
+	// per instruction and the steady-state zero-alloc gates still hold.
+	// Not a property of the modelled machine — excluded from cache keys
+	// and report identity.
 	Trace obs.PipeSink
 }
 

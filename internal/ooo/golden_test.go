@@ -84,7 +84,8 @@ func toGolden(s Stats) goldenStats {
 }
 
 // goldenCase is one (program, machine shape, scheduler) cell of the
-// differential corpus.
+// differential corpus; the scheduler is production ("event") or the
+// polled oracle ("polled").
 type goldenCase struct {
 	key string
 	run func(t *testing.T) Stats
@@ -92,8 +93,8 @@ type goldenCase struct {
 
 // goldenCorpus enumerates the corpus: the scheduler-differential fuzz
 // axes (random programs × machine shapes) plus real workloads × schemes,
-// each under both schedulers. short trims the corpus for -short runs;
-// regeneration always uses the full corpus.
+// each under production and the polled oracle. short trims the corpus
+// for -short runs; regeneration always uses the full corpus.
 func goldenCorpus(short bool) []goldenCase {
 	var cases []goldenCase
 	seeds := 12
@@ -109,10 +110,10 @@ func goldenCorpus(short bool) []goldenCase {
 			panic(fmt.Sprintf("golden corpus: seed %d: link: %v", seed, err))
 		}
 		for ci, cfg := range cfgs {
-			for _, s := range []Scheduler{SchedEventDriven, SchedPolled} {
+			for _, s := range schedulers {
 				cfg, s := cfg, s
 				cases = append(cases, goldenCase{
-					key: fmt.Sprintf("fuzz/seed%02d/cfg%02d/%v", seed, ci, s),
+					key: fmt.Sprintf("fuzz/seed%02d/cfg%02d/%s", seed, ci, s.name),
 					run: func(t *testing.T) Stats { return runScheduler(t, pr, img, cfg, s) },
 				})
 			}
@@ -139,10 +140,10 @@ func goldenCorpus(short bool) []goldenCase {
 				cfg.Emu.DVI = core.Config{Level: core.None}
 			}
 			cfg.MaxInsts = 60_000
-			for _, s := range []Scheduler{SchedEventDriven, SchedPolled} {
+			for _, s := range schedulers {
 				cfg, s := cfg, s
 				cases = append(cases, goldenCase{
-					key: fmt.Sprintf("work/%s/scheme%d/%v", name, scheme, s),
+					key: fmt.Sprintf("work/%s/scheme%d/%s", name, scheme, s.name),
 					run: func(t *testing.T) Stats { return runScheduler(t, pr, img, cfg, s) },
 				})
 			}

@@ -41,26 +41,22 @@
 //
 // # Scheduling
 //
-// Two interchangeable schedulers drive issue and writeback; both produce
-// bit-identical Stats on every program and configuration (Config.Scheduler
-// selects one; the differential tests in sched_test.go pin the
-// equivalence).
-//
-// SchedPolled is the textbook implementation: every cycle it rescans the
-// whole window for issuable and completing instructions and walks older
-// entries to detect store-to-load conflicts — O(window) host work per
-// simulated cycle no matter how little happens.
-//
-// SchedEventDriven (the default) restructures the same semantics around
-// events, so each cycle touches only the instructions something happened
-// to:
+// Issue and writeback are event-driven. The textbook sim-outorder stages
+// rescan the whole window every cycle for issuable and completing
+// instructions and walk older entries to detect store-to-load conflicts —
+// O(window) host work per simulated cycle no matter how little happens.
+// This core restructures the same semantics around events, so each cycle
+// touches only the instructions something happened to. The polled stages
+// are kept as a test oracle (polled_test.go): the differential tests hold
+// this core bit-identical to them on every Stats field and every
+// pipeline-trace record.
 //
 //   - Completion wheel: instructions entering execution are dropped into a
 //     calendar queue keyed by their finish cycle; writeback pops exactly
 //     the instructions finishing now (sorted by age, so predictor training
-//     and recovery order match the polled scan) instead of scanning the
-//     window. Latencies beyond the wheel horizon park in their slot and
-//     are revisited one wheel turn later.
+//     and recovery order match an age-order window scan) instead of
+//     scanning the window. Latencies beyond the wheel horizon park in
+//     their slot and are revisited one wheel turn later.
 //   - Wakeup lists: at dispatch an instruction counts its not-yet-ready
 //     sources and registers a watcher on each with the rename table
 //     (rename.Watch); when a result is produced, writeback drains the
@@ -153,7 +149,7 @@ type robEntry struct {
 	rasSnap     bpred.RASSnapshot
 	mapSnap     [rename.NumArch]rename.PhysReg // recovery checkpoint (mispredicts only)
 
-	// Event-driven scheduler state (SchedEventDriven only).
+	// Event-driven scheduler state.
 	waits        uint8  // outstanding not-yet-ready sources
 	hasConflict  bool   // a possibly conflicting older store was recorded
 	conflictSlot int32  // window slot of that store
@@ -401,8 +397,7 @@ func (m *Machine) Predictor() *bpred.Predictor { return m.pred }
 
 // robIdx maps the i-th oldest position (0 = head) to its slot in the
 // circular buffer. head+i never exceeds twice the window, so the wrap is
-// a compare instead of a division (this runs once per window entry per
-// cycle under the polled scheduler).
+// a compare instead of a division.
 func (m *Machine) robIdx(i int) int {
 	idx := m.robHead + i
 	if idx >= len(m.rob) {
@@ -503,13 +498,8 @@ func (m *Machine) step() {
 	m.aluUsed, m.mdUsed, m.portUsed, m.issued = 0, 0, 0, 0
 
 	m.commit()
-	if m.cfg.Scheduler == SchedPolled {
-		m.writebackPolled()
-		m.issuePolled()
-	} else {
-		m.writebackEvent()
-		m.issueEvent()
-	}
+	m.writebackEvent()
+	m.issueEvent()
 	m.dispatch()
 	m.fetch()
 
@@ -891,9 +881,7 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 			}
 			m.dispatchCorrect(c, e, rec)
 		}
-		if m.cfg.Scheduler != SchedPolled {
-			m.schedDispatch(e, slot)
-		}
+		m.schedDispatch(e, slot)
 
 		c.popIFQ()
 		m.robLen++
@@ -1037,8 +1025,7 @@ func (m *Machine) dispatchWrongPath(c *hwContext, e *robEntry, rec *fetchRec) {
 	}
 }
 
-// --- issue (polled scheduler; see sched.go for the event-driven one) ---
-
+// srcsReady reports whether every source operand of e has been produced.
 func (m *Machine) srcsReady(e *robEntry) bool {
 	for i := 0; i < e.nSrc; i++ {
 		if !m.rt.Ready(e.srcPhys[i]) {
@@ -1046,131 +1033,6 @@ func (m *Machine) srcsReady(e *robEntry) bool {
 		}
 	}
 	return true
-}
-
-// olderStoreConflict scans entries older than index i for live stores
-// whose (8-byte aligned) address overlaps addr. It returns the youngest
-// match. Context-tagged addresses keep contexts' separate address spaces
-// from aliasing; squashed holes are skipped (their register references
-// are stale).
-func (m *Machine) olderStoreConflict(i int, addr uint64) (conflict, dataReady bool) {
-	a := addr &^ 7
-	for j := i - 1; j >= 0; j-- {
-		o := m.robAt(j)
-		if !o.isStore || o.squashed {
-			continue
-		}
-		if o.addr&^7 == a {
-			return true, m.srcsReady(o)
-		}
-	}
-	return false, false
-}
-
-func (m *Machine) issuePolled() {
-	for i := 0; i < m.robLen && m.issued < m.cfg.IssueWidth; i++ {
-		e := m.robAt(i)
-		if e.squashed || e.st != stDispatched || !m.srcsReady(e) {
-			continue
-		}
-		cls := e.class
-		switch cls {
-		case isa.ClassStore:
-			// Stores complete when operands are ready (the cache access
-			// happens at commit, sim-outorder behaviour) but still consume
-			// an issue slot for address generation.
-			m.issued++
-			e.st = stDone
-			e.issueCycle = m.cycle
-			e.doneCycle = m.cycle
-			continue
-		case isa.ClassLoad:
-			if e.wrongPath {
-				if m.portUsed >= m.cfg.CachePorts {
-					continue
-				}
-				m.portUsed++
-				m.issued++
-				m.Stats.WrongPathLoads++
-				m.ctxs[e.ctx].stats.WrongPathLoads++
-				e.st = stIssued
-				e.issueCycle = m.cycle
-				e.doneCycle = m.cycle + uint64(m.cfg.Hierarchy.L1D.HitLatency)
-				continue
-			}
-			conflict, dataReady := m.olderStoreConflict(i, e.addr)
-			if conflict {
-				if !dataReady {
-					continue // wait for the producing store's data
-				}
-				// Store-to-load forwarding: one cycle, no cache port.
-				m.issued++
-				m.Stats.LoadForwarded++
-				m.ctxs[e.ctx].stats.LoadForwarded++
-				e.st = stIssued
-				e.issueCycle = m.cycle
-				e.doneCycle = m.cycle + 1
-				continue
-			}
-			if m.portUsed >= m.cfg.CachePorts {
-				continue
-			}
-			m.portUsed++
-			m.issued++
-			m.Stats.LoadsIssued++
-			m.ctxs[e.ctx].stats.LoadsIssued++
-			lat := m.hier.L1D.Access(e.addr, false)
-			e.st = stIssued
-			e.issueCycle = m.cycle
-			e.doneCycle = m.cycle + uint64(lat)
-			continue
-		case isa.ClassIntMul, isa.ClassIntDiv:
-			if m.mdUsed >= m.cfg.IntMulDiv {
-				continue
-			}
-			m.mdUsed++
-			m.issued++
-			e.st = stIssued
-			e.issueCycle = m.cycle
-			if cls == isa.ClassIntMul {
-				e.doneCycle = m.cycle + uint64(m.cfg.MulLatency)
-			} else {
-				e.doneCycle = m.cycle + uint64(m.cfg.DivLatency)
-			}
-			continue
-		default: // ALU, branches, jumps
-			if m.aluUsed >= m.cfg.IntALUs {
-				continue
-			}
-			m.aluUsed++
-			m.issued++
-			e.st = stIssued
-			e.issueCycle = m.cycle
-			e.doneCycle = m.cycle + uint64(e.lat)
-		}
-	}
-}
-
-// --- writeback (polled scheduler) ---
-
-func (m *Machine) writebackPolled() {
-	for i := 0; i < m.robLen; i++ {
-		e := m.robAt(i)
-		if e.squashed || e.st != stIssued || e.doneCycle > m.cycle {
-			continue
-		}
-		e.st = stDone
-		if e.hasDest {
-			m.rt.SetReady(e.destPhys)
-		}
-		if e.isCtl && !e.wrongPath {
-			m.resolveControl(e, i)
-			// On a mispredict, recovery marked the context's younger
-			// entries squashed (skipped above) and popped the squashed
-			// suffix (robLen shrank, ending the scan at Contexts=1);
-			// other contexts' younger entries still complete this cycle.
-		}
-	}
 }
 
 // resolveControl trains the predictor structures and performs misprediction
@@ -1214,18 +1076,14 @@ func (m *Machine) resolveControl(e *robEntry, idx int) {
 			// record them before the scheduler forgets about them.
 			m.emitRob(o, obs.SquashRecovery)
 		}
-		if m.cfg.Scheduler != SchedPolled {
-			m.es.clearReady(m.robIdx(i))
-		}
+		m.es.clearReady(m.robIdx(i))
 	}
 	// Pop the maximal squashed suffix so the tail slot is reusable; at
 	// Contexts=1 this is the whole squashed range (a pure truncation).
 	for m.robLen > idx+1 && m.robAt(m.robLen-1).squashed {
 		m.robLen--
 	}
-	if m.cfg.Scheduler != SchedPolled {
-		m.rt.PurgeWatchers(m.es.liveTok)
-	}
+	m.rt.PurgeWatchers(m.es.liveTok)
 
 	// Restore the context's rename map and rebuild the shared free list
 	// from every context's surviving in-flight state.

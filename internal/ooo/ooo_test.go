@@ -550,59 +550,61 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 // TestMachineSteadyStateZeroAlloc pins the 0 allocs/op invariant of the
-// simulation loop for both schedulers: re-running a job on a warm machine
-// allocates nothing — under the event-driven scheduler the completion
-// wheel, ready set, wakeup lists and last-store table must all reuse
-// their storage.
+// simulation loop on the single-context machine.
 func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 	pr := fibProgram(14)
 	img, err := pr.Link()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Scheduler{SchedEventDriven, SchedPolled} {
-		t.Run(sched.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Scheduler = sched
-			m := New(pr, img, cfg)
-			if _, err := m.Run(); err != nil {
-				t.Fatal(err) // warm pages, ring buffers and victim lists
-			}
-			allocs := testing.AllocsPerRun(3, func() {
-				m.Reset(pr, img, cfg)
-				if _, err := m.Run(); err != nil {
-					t.Error(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state run allocated %.1f objects, want 0", allocs)
-			}
+	t.Run(schedEvent.name, func(t *testing.T) {
+		checkSteadyStateZeroAlloc(t, pr, img, DefaultConfig())
+	})
+}
 
-			// With a live pipeline-trace sink attached the steady state
-			// must hold too: the machine writes records through the
-			// reusable traceRec field, and a warm PipeBuffer (capacity
-			// grown by a first traced run) reuses its backing array on
-			// Reset, so re-running a traced job allocates nothing.
-			tcfg := cfg
-			buf := obs.NewPipeBuffer(0)
-			tcfg.Trace = buf
-			m.Reset(pr, img, tcfg)
-			if _, err := m.Run(); err != nil {
-				t.Fatal(err) // grow the trace buffer
-			}
-			if buf.Len() == 0 {
-				t.Fatal("traced warm-up run emitted no records")
-			}
-			allocs = testing.AllocsPerRun(3, func() {
-				buf.Reset()
-				m.Reset(pr, img, tcfg)
-				if _, err := m.Run(); err != nil {
-					t.Error(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("traced steady-state run allocated %.1f objects, want 0", allocs)
-			}
-		})
+// checkSteadyStateZeroAlloc asserts that re-running cfg on a warm machine
+// allocates nothing, untraced and traced: the completion wheel, ready set,
+// wakeup lists, last-store table and per-context structures must all reuse
+// their storage across Reset.
+func checkSteadyStateZeroAlloc(t *testing.T, pr *prog.Program, img *prog.Image, cfg Config) {
+	t.Helper()
+	m := New(pr, img, cfg)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err) // warm pages, ring buffers and victim lists
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		m.Reset(pr, img, cfg)
+		if _, err := m.Run(); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state run allocated %.1f objects, want 0", allocs)
+	}
+
+	// With a live pipeline-trace sink attached the steady state must hold
+	// too: the machine writes records through the reusable traceRec field,
+	// and a warm PipeBuffer (capacity grown by a first traced run) reuses
+	// its backing array on Reset, so re-running a traced job allocates
+	// nothing.
+	tcfg := cfg
+	buf := obs.NewPipeBuffer(0)
+	tcfg.Trace = buf
+	m.Reset(pr, img, tcfg)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err) // grow the trace buffer
+	}
+	if buf.Len() == 0 {
+		t.Fatal("traced warm-up run emitted no records")
+	}
+	allocs = testing.AllocsPerRun(3, func() {
+		buf.Reset()
+		m.Reset(pr, img, tcfg)
+		if _, err := m.Run(); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("traced steady-state run allocated %.1f objects, want 0", allocs)
 	}
 }

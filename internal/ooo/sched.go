@@ -7,14 +7,16 @@ import (
 	"dvi/internal/rename"
 )
 
-// This file is the event-driven scheduler (Config.Scheduler ==
-// SchedEventDriven): the same pipeline semantics as the polled
-// issuePolled/writebackPolled/olderStoreConflict trio, restructured so a
-// cycle's host cost is proportional to what happens in it rather than to
-// the window size. The two implementations must stay observably
-// identical — every Stats field, every cycle count — which the
-// differential tests in sched_test.go enforce across random programs and
-// machine shapes. When touching one side, touch the other.
+// This file is the event-driven scheduler: the issue and writeback stages
+// of a sim-outorder-style window scan, restructured so a cycle's host
+// cost is proportional to what happens in it rather than to the window
+// size. The scan itself is kept as a test oracle (issuePolled,
+// writebackPolled and olderStoreConflict in polled_test.go), and the
+// differential tests hold this file observably identical to it — every
+// Stats field, every cycle count, every pipeline-trace record — across
+// random programs, machine shapes and context counts. A change to the
+// modelled pipeline semantics here must be made to the oracle too; a
+// change to how the events are kept must not need it.
 
 // wheelSlots is the completion wheel's size (a power of two). It covers
 // the default machine's longest latency chain (L1 miss + L2 miss + memory
@@ -43,14 +45,14 @@ type storeRef struct {
 type evSched struct {
 	// ready is a bitset over window slots: dispatched, all sources
 	// ready, not yet issued. Issue walks it oldest-first, preserving the
-	// polled scheduler's seniority arbitration.
+	// window scan's seniority arbitration.
 	ready []uint64
 	// wheel is the completion calendar queue, indexed by cycle mod
 	// wheelSlots.
 	wheel [wheelSlots][]wheelEvent
 	// due is the per-cycle scratch of events firing now, insertion-sorted
 	// by seq so writeback processes them oldest-first (predictor training
-	// and recovery order must match the polled age-order scan).
+	// and recovery order must match an age-order window scan).
 	due []wheelEvent
 	// stores maps addr>>3 to the youngest in-flight store writing that
 	// block (storeTable, an open-addressed hash with no per-op
@@ -130,7 +132,7 @@ func (m *Machine) schedDispatch(e *robEntry, slot int) {
 // schedComplete drops an instruction entering execution into the
 // completion wheel. Writeback runs before issue within a cycle, so a
 // result due "now or earlier" (zero-latency classes) is seen next cycle —
-// exactly when the polled scan would pick it up.
+// exactly when a window scan would pick it up.
 func (m *Machine) schedComplete(e *robEntry, slot int) {
 	due := e.doneCycle
 	if due <= m.cycle {
@@ -271,9 +273,9 @@ func (m *Machine) issueRange(lo, hi int) bool {
 }
 
 // tryIssue attempts to issue the ready entry in slot, mirroring one
-// iteration of the polled issue loop: the entry issues, or stays in the
-// ready set blocked on a structural resource or an unready forwarding
-// store.
+// iteration of the oracle's issue scan (issuePolled): the entry issues, or
+// stays in the ready set blocked on a structural resource or an unready
+// forwarding store.
 func (m *Machine) tryIssue(slot int) {
 	e := &m.rob[slot]
 	switch e.class {

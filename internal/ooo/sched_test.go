@@ -9,19 +9,31 @@ import (
 	"dvi/internal/workload"
 )
 
-// The scheduler equivalence property: SchedPolled and SchedEventDriven
-// are two implementations of the same machine, so on every program and
-// every configuration they must produce identical Stats — not just the
-// same architectural results, but the same cycle counts, stall
-// breakdowns, forwarding counts and register high-water marks.
+// The scheduler equivalence property: the production event-driven stages
+// and the polled oracle (polled_test.go) are two implementations of the
+// same machine, so on every program and every configuration they must
+// produce identical Stats — not just the same architectural results, but
+// the same cycle counts, stall breakdowns, forwarding counts and register
+// high-water marks.
 
-// runScheduler builds one machine with the given scheduler and runs it.
-func runScheduler(t *testing.T, pr *prog.Program, img *prog.Image, cfg Config, s Scheduler) Stats {
+// scheduler names one implementation of the issue and writeback stages.
+type scheduler struct {
+	name string                        // golden keys and subtest names
+	run  func(*Machine) (Stats, error) // Run or runPolled
+}
+
+var (
+	schedEvent  = scheduler{"event", (*Machine).Run}
+	schedPolled = scheduler{"polled", (*Machine).runPolled}
+	schedulers  = []scheduler{schedEvent, schedPolled}
+)
+
+// runScheduler builds one machine and runs it with the given scheduler.
+func runScheduler(t *testing.T, pr *prog.Program, img *prog.Image, cfg Config, s scheduler) Stats {
 	t.Helper()
-	cfg.Scheduler = s
-	st, err := New(pr, img, cfg).Run()
+	st, err := s.run(New(pr, img, cfg))
 	if err != nil {
-		t.Fatalf("%v scheduler: %v", s, err)
+		t.Fatalf("%s scheduler: %v", s.name, err)
 	}
 	return st
 }
@@ -55,9 +67,9 @@ func schedFuzzConfigs() []Config {
 	return out
 }
 
-// TestSchedulerDifferentialFuzz runs both schedulers over random programs
-// (calls, frames, loops, kills, memory traffic, mispredicted branches) ×
-// machine shapes and asserts bit-identical Stats.
+// TestSchedulerDifferentialFuzz runs production and the polled oracle over
+// random programs (calls, frames, loops, kills, memory traffic,
+// mispredicted branches) × machine shapes and asserts bit-identical Stats.
 func TestSchedulerDifferentialFuzz(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -70,8 +82,8 @@ func TestSchedulerDifferentialFuzz(t *testing.T) {
 			t.Fatalf("seed %d: link: %v", seed, err)
 		}
 		for ci, cfg := range schedFuzzConfigs() {
-			polled := runScheduler(t, pr, img, cfg, SchedPolled)
-			event := runScheduler(t, pr, img, cfg, SchedEventDriven)
+			polled := runScheduler(t, pr, img, cfg, schedPolled)
+			event := runScheduler(t, pr, img, cfg, schedEvent)
 			if polled != event {
 				t.Fatalf("seed %d cfg %d: schedulers diverge:\npolled %+v\nevent  %+v",
 					seed, ci, polled, event)
@@ -80,9 +92,10 @@ func TestSchedulerDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestSchedulerDifferentialWorkloads runs both schedulers over the real
-// benchmark binaries (bounded), covering the elimination fast paths and
-// cache behaviour the synthetic fuzz programs exercise less.
+// TestSchedulerDifferentialWorkloads runs production and the polled oracle
+// over the real benchmark binaries (bounded), covering the elimination
+// fast paths and cache behaviour the synthetic fuzz programs exercise
+// less.
 func TestSchedulerDifferentialWorkloads(t *testing.T) {
 	names := []string{"compress", "gcc", "li"}
 	if testing.Short() {
@@ -104,8 +117,8 @@ func TestSchedulerDifferentialWorkloads(t *testing.T) {
 				cfg.Emu.DVI = core.Config{Level: core.None}
 			}
 			cfg.MaxInsts = 60_000
-			polled := runScheduler(t, pr, img, cfg, SchedPolled)
-			event := runScheduler(t, pr, img, cfg, SchedEventDriven)
+			polled := runScheduler(t, pr, img, cfg, schedPolled)
+			event := runScheduler(t, pr, img, cfg, schedEvent)
 			if polled != event {
 				t.Fatalf("%s scheme %v: schedulers diverge:\npolled %+v\nevent  %+v",
 					name, scheme, polled, event)
@@ -114,30 +127,60 @@ func TestSchedulerDifferentialWorkloads(t *testing.T) {
 	}
 }
 
+// TestSchedulerDifferentialLatencyExtremes covers completion times the
+// corpus never reaches, at one and two contexts: a zero-latency multiply
+// is due in the cycle it issues, and one longer than the completion
+// wheel's horizon parks in its slot for a turn (wire clients may set
+// mul_latency to any positive value).
+func TestSchedulerDifferentialLatencyExtremes(t *testing.T) {
+	seeds := 8
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		pr := buildFuzzProgram(seed)
+		img, err := pr.Link()
+		if err != nil {
+			t.Fatalf("seed %d: link: %v", seed, err)
+		}
+		for _, lat := range []int{0, wheelSlots + 3, 2*wheelSlots + 5} {
+			for _, n := range []int{1, 2} {
+				cfg := smtConfig(DefaultConfig(), n, FetchRoundRobin)
+				cfg.MulLatency = lat
+				polled := runScheduler(t, pr, img, cfg, schedPolled)
+				event := runScheduler(t, pr, img, cfg, schedEvent)
+				if polled != event {
+					t.Fatalf("seed %d mul latency %d n=%d: schedulers diverge:\npolled %+v\nevent  %+v",
+						seed, lat, n, polled, event)
+				}
+			}
+		}
+	}
+}
+
 // TestSchedulerResetAcrossKinds pins pooling across scheduler switches: a
-// machine reused via Reset with the other scheduler produces exactly a
-// fresh machine's statistics (the event structures rebuild from any prior
-// state).
+// machine run by the polled oracle, then reused via Reset, produces
+// exactly a fresh machine's statistics (the event structures rebuild from
+// any prior state, including the ready bits and wakeup lists the polled
+// stages leave undrained).
 func TestSchedulerResetAcrossKinds(t *testing.T) {
 	pr := fibProgram(12)
 	img, err := pr.Link()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgE := DefaultConfig()
-	cfgP := DefaultConfig()
-	cfgP.Scheduler = SchedPolled
+	cfg := DefaultConfig()
 
-	fresh, err := New(pr, img, cfgE).Run()
+	fresh, err := New(pr, img, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m := New(pr, img, cfgP)
-	if _, err := m.Run(); err != nil {
+	m := New(pr, img, cfg)
+	if _, err := m.runPolled(); err != nil {
 		t.Fatal(err)
 	}
-	m.Reset(pr, img, cfgE)
+	m.Reset(pr, img, cfg)
 	reused, err := m.Run()
 	if err != nil {
 		t.Fatal(err)

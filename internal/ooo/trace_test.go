@@ -5,34 +5,40 @@ import (
 	"testing"
 
 	"dvi/internal/obs"
+	"dvi/internal/prog"
 )
 
-// traceRun executes pr with a pipeline trace attached and returns the
-// captured records plus the run's stats.
-func traceRun(t *testing.T, cfg Config, sched Scheduler) ([]obs.PipeRecord, Stats) {
+// traceRun executes pr with a pipeline trace attached under sched and
+// returns the captured records plus the run's stats.
+func traceRun(t *testing.T, pr *prog.Program, img *prog.Image, cfg Config, sched scheduler) ([]obs.PipeRecord, Stats) {
+	t.Helper()
+	buf := obs.NewPipeBuffer(0)
+	cfg.Trace = buf
+	st, err := sched.run(New(pr, img, cfg))
+	if err != nil {
+		t.Fatalf("%s scheduler: %v", sched.name, err)
+	}
+	return buf.Records(), st
+}
+
+// fibTraceRun is traceRun on fib(12) and the default machine.
+func fibTraceRun(t *testing.T, sched scheduler) ([]obs.PipeRecord, Stats) {
 	t.Helper()
 	pr := fibProgram(12)
 	img, err := pr.Link()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := obs.NewPipeBuffer(0)
-	cfg.Scheduler = sched
-	cfg.Trace = buf
-	m := New(pr, img, cfg)
-	st, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf.Records(), st
+	return traceRun(t, pr, img, DefaultConfig(), sched)
 }
 
 // TestTraceConsistency checks the record stream against the run's own
-// statistics and the per-record stage invariants, for both schedulers.
+// statistics and the per-record stage invariants, for production and the
+// polled oracle.
 func TestTraceConsistency(t *testing.T) {
-	for _, sched := range []Scheduler{SchedEventDriven, SchedPolled} {
-		t.Run(sched.String(), func(t *testing.T) {
-			recs, st := traceRun(t, DefaultConfig(), sched)
+	for _, sched := range schedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			recs, st := fibTraceRun(t, sched)
 			if len(recs) == 0 {
 				t.Fatal("no records")
 			}
@@ -105,18 +111,35 @@ func TestTraceConsistency(t *testing.T) {
 	}
 }
 
-// TestTraceSchedulerEquivalence pins the two schedulers to the same
-// record stream: the event-driven and polled cores are bit-identical, so
-// every instruction must carry identical cycle stamps under both.
+// TestTraceSchedulerEquivalence pins production and the polled oracle to
+// the same record stream: the two are bit-identical, so every instruction
+// must carry identical cycle stamps under both. Records see what Stats
+// cannot — a stage stamp one cycle off, the order in which same-cycle
+// completions resolve — so the corpus spans fuzz programs, every
+// differential machine shape, and one and two contexts.
 func TestTraceSchedulerEquivalence(t *testing.T) {
-	ev, _ := traceRun(t, DefaultConfig(), SchedEventDriven)
-	po, _ := traceRun(t, DefaultConfig(), SchedPolled)
-	if len(ev) != len(po) {
-		t.Fatalf("record counts differ: event %d vs polled %d", len(ev), len(po))
-	}
-	for i := range ev {
-		if ev[i] != po[i] {
-			t.Fatalf("record %d differs:\nevent:  %+v\npolled: %+v", i, ev[i], po[i])
+	for seed := int64(1); seed <= 8; seed++ {
+		pr := buildFuzzProgram(seed)
+		img, err := pr.Link()
+		if err != nil {
+			t.Fatalf("seed %d: link: %v", seed, err)
+		}
+		for ci, base := range schedFuzzConfigs() {
+			for _, n := range []int{1, 2} {
+				cfg := smtConfig(base, n, FetchRoundRobin)
+				ev, _ := traceRun(t, pr, img, cfg, schedEvent)
+				po, _ := traceRun(t, pr, img, cfg, schedPolled)
+				if len(ev) != len(po) {
+					t.Fatalf("seed %d cfg %d n=%d: record counts differ: event %d vs polled %d",
+						seed, ci, n, len(ev), len(po))
+				}
+				for i := range ev {
+					if ev[i] != po[i] {
+						t.Fatalf("seed %d cfg %d n=%d: record %d differs:\nevent:  %+v\npolled: %+v",
+							seed, ci, n, i, ev[i], po[i])
+					}
+				}
+			}
 		}
 	}
 }
@@ -125,7 +148,7 @@ func TestTraceSchedulerEquivalence(t *testing.T) {
 // the Konata log must carry one retire per record, and the Chrome events
 // must cover every record with at least a fetch slice.
 func TestTraceRendererRoundTrip(t *testing.T) {
-	recs, _ := traceRun(t, DefaultConfig(), SchedEventDriven)
+	recs, _ := fibTraceRun(t, schedEvent)
 
 	var sb strings.Builder
 	if err := obs.WriteKonata(&sb, recs); err != nil {

@@ -507,25 +507,11 @@ func (s *Server) ExecuteJob(ctx context.Context, jr JobRequest) JobResult {
 	if herr != nil {
 		return JobResult{Kind: jr.Kind, Error: herr.msg}
 	}
-	line := JobResult{Kind: pj.kind}
-	if !pj.engineBacked() {
-		if herr := pj.inline(ctx, &line); herr != nil {
-			line.Error = herr.msg
-		}
-		return line
+	line, err := s.executeOne(ctx, pj)
+	if err != nil {
+		return JobResult{Kind: pj.kind, Error: err.Error()}
 	}
-	err := s.sess.Run(ctx, []runner.Job{pj.job}, func(res runner.Result) error {
-		if res.Err != nil {
-			line.Error = res.Err.Error()
-			return nil
-		}
-		pj.render(res, &line)
-		return nil
-	})
-	if err != nil && line.Error == "" {
-		line.Error = err.Error()
-	}
-	return line
+	return *line
 }
 
 // handleJobs is POST /v2/jobs: a heterogeneous job batch answered as an
