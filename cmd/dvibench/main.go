@@ -43,7 +43,6 @@ func main() {
 func run() int {
 	var (
 		figures  = flag.String("figures", "", "comma-separated experiment subset (IDs from -list, or all|ablations); default all")
-		exp      = flag.String("experiment", "", "deprecated alias for -figures")
 		list     = flag.Bool("list", false, "print selectable experiment IDs and exit")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent simulation workers")
 		quiet    = flag.Bool("q", false, "suppress per-job progress on stderr")
@@ -68,7 +67,7 @@ func run() int {
 		return 0
 	}
 
-	ids, err := selectIDs(*figures, *exp)
+	ids, err := selectIDs(*figures)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dvibench:", err)
 		return 2
@@ -401,21 +400,8 @@ func emitJSON(ctx context.Context, w io.Writer, sess *session.Session, opt harne
 	return enc.Encode(rep)
 }
 
-// selectIDs resolves the -figures/-experiment selection into figure IDs.
-func selectIDs(figures, experiment string) ([]string, error) {
-	if figures != "" && experiment != "" {
-		return nil, fmt.Errorf("-figures and -experiment are mutually exclusive (use -figures; -experiment is deprecated)")
-	}
-	if figures == "" && experiment != "" {
-		// The old -experiment flag printed fig5 and fig6 together for
-		// either name; preserve that.
-		switch experiment {
-		case "fig5", "fig6":
-			figures = "fig5,fig6"
-		default:
-			figures = experiment
-		}
-	}
+// selectIDs resolves the -figures selection into figure IDs.
+func selectIDs(figures string) ([]string, error) {
 	if figures == "" || figures == "all" {
 		return harness.FigureIDs(), nil
 	}

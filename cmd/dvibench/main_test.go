@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,5 +233,35 @@ func TestJSONReportInferredElim(t *testing.T) {
 	}
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("marshal: %v", err)
+	}
+}
+
+// TestSelectIDs covers the -figures selection: the default and "all",
+// the ablations group, a list with spaces and a group inside it, an
+// unknown ID, and a selection that names nothing.
+func TestSelectIDs(t *testing.T) {
+	all := harness.FigureIDs()
+	for _, tc := range []struct {
+		figures string
+		want    []string
+		err     string
+	}{
+		{figures: "", want: all},
+		{figures: "all", want: all},
+		{figures: "ablations", want: harness.AblationIDs()},
+		{figures: "fig6, fig3,ablations", want: append([]string{"fig6", "fig3"}, harness.AblationIDs()...)},
+		{figures: "fig3,fig99", err: `unknown figure "fig99"`},
+		{figures: " , ", err: "empty -figures selection"},
+	} {
+		got, err := selectIDs(tc.figures)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("selectIDs(%q) error = %v, want one containing %q", tc.figures, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("selectIDs(%q) = %v, %v; want %v", tc.figures, got, err, tc.want)
+		}
 	}
 }

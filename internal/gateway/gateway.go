@@ -322,18 +322,46 @@ func (g *Gateway) available() int {
 // errNoBackends reports that no backend was available for a dispatch.
 var errNoBackends = errors.New("gateway: no backend available")
 
-// readBody buffers a backend response body in full, erroring — so the
-// dispatch ladder retries elsewhere or falls back locally — when it
-// exceeds the response budget, instead of silently truncating it.
-func (g *Gateway) readBody(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, g.cfg.MaxResponseBytes+1))
+// proxyResp is a buffered backend response.
+type proxyResp struct {
+	code        int
+	contentType string
+	body        []byte
+}
+
+// fetch sends one request to one backend under the per-attempt deadline
+// and buffers the answer, whatever its status; each caller decides which
+// statuses count as failures. A body over the response budget is an
+// error — so the dispatch ladder retries elsewhere or falls back
+// locally — never a silently truncated answer.
+func (g *Gateway) fetch(ctx context.Context, b *backend, method, path string, body []byte) (proxyResp, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, b.url+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return proxyResp{}, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	res, err := g.hc.Do(req)
+	if err != nil {
+		return proxyResp{}, err
+	}
+	defer res.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(res.Body, g.cfg.MaxResponseBytes+1))
+	if err != nil {
+		return proxyResp{}, err
 	}
 	if int64(len(data)) > g.cfg.MaxResponseBytes {
-		return nil, fmt.Errorf("gateway: backend response exceeds %d bytes", g.cfg.MaxResponseBytes)
+		return proxyResp{}, fmt.Errorf("gateway: backend response exceeds %d bytes", g.cfg.MaxResponseBytes)
 	}
-	return data, nil
+	return proxyResp{code: res.StatusCode, contentType: res.Header.Get("Content-Type"), body: data}, nil
+}
+
+// statusError reports a backend answer its caller counts as a failure.
+func statusError(b *backend, code int) error {
+	return fmt.Errorf("gateway: backend %s: status %d", b.url, code)
 }
 
 // backoff returns the jittered delay before retry number attempt
@@ -503,33 +531,12 @@ func toRawLine(res service.JobResult) (rawLine, error) {
 	return rl, err
 }
 
-// sendJob dispatches one job to one backend as a single-job /v2 batch
-// and returns its (single) result line. Any transport failure, non-OK
-// status, or truncated/malformed stream — a backend killed mid-write —
-// is an error, which dispatch retries elsewhere: per-job error
-// isolation survives backend death because only deterministic per-job
-// failures travel inside a successfully parsed line.
-func (g *Gateway) sendJob(ctx context.Context, b *backend, body []byte) (rawLine, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v2/jobs", bytes.NewReader(body))
-	if err != nil {
-		return rawLine{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	res, err := g.hc.Do(req)
-	if err != nil {
-		return rawLine{}, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(res.Body, 4096))
-		return rawLine{}, fmt.Errorf("gateway: backend %s: status %d", b.url, res.StatusCode)
-	}
-	data, err := g.readBody(res.Body)
-	if err != nil {
-		return rawLine{}, err
-	}
+// decodeLine parses a backend's answer to a single-job /v2 batch: its
+// one result line. A truncated or malformed stream — a backend killed
+// mid-write — is an error, which dispatch retries elsewhere: per-job
+// error isolation survives backend death because only deterministic
+// per-job failures travel inside a successfully parsed line.
+func decodeLine(b *backend, data []byte) (rawLine, error) {
 	var line rawLine
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(&line); err != nil {
@@ -556,8 +563,17 @@ func (g *Gateway) runJob(ctx context.Context, idx int, jr service.JobRequest, bo
 		span.SetAttr("key", key)
 		defer span.End()
 	}
+	// Each job travels as a single-job /v2 batch; any status but 200 is
+	// a failure.
 	line, b, err := dispatch(g, ctx, key, func(ctx context.Context, b *backend) (rawLine, error) {
-		return g.sendJob(ctx, b, body)
+		resp, err := g.fetch(ctx, b, http.MethodPost, "/v2/jobs", body)
+		if err != nil {
+			return rawLine{}, err
+		}
+		if resp.code != http.StatusOK {
+			return rawLine{}, statusError(b, resp.code)
+		}
+		return decodeLine(b, resp.body)
 	})
 	switch {
 	case err == nil:
@@ -723,41 +739,6 @@ func (m *memResponse) Header() http.Header         { return m.header }
 func (m *memResponse) WriteHeader(code int)        { m.code = code }
 func (m *memResponse) Write(p []byte) (int, error) { return m.body.Write(p) }
 
-// proxyResp is a buffered backend response.
-type proxyResp struct {
-	code        int
-	contentType string
-	body        []byte
-}
-
-// sendProxy forwards body to one backend path and buffers the answer.
-// 5xx and 429 statuses are errors (another replica may do better);
-// other statuses — including 4xx, which every replica would answer
-// identically — are final.
-func (g *Gateway) sendProxy(ctx context.Context, b *backend, path string, body []byte) (proxyResp, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(body))
-	if err != nil {
-		return proxyResp{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	res, err := g.hc.Do(req)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode >= 500 || res.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, io.LimitReader(res.Body, 4096))
-		return proxyResp{}, fmt.Errorf("gateway: backend %s: status %d", b.url, res.StatusCode)
-	}
-	data, err := g.readBody(res.Body)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	return proxyResp{code: res.StatusCode, contentType: res.Header.Get("Content-Type"), body: data}, nil
-}
-
 // proxyHandler builds a /v1 endpoint: route by source, forward with the
 // recovery ladder, and fall back to serving the request on the embedded
 // service — whose handlers produce byte-identical responses — when the
@@ -800,8 +781,15 @@ func (g *Gateway) proxyHandler(endpoint, path string) http.HandlerFunc {
 			span.SetAttr("key", key)
 		}
 
+		// 5xx and 429 are failures: another replica may do better. Any
+		// other status, 4xx included, is final: every replica would
+		// answer it identically.
 		resp, b, err := dispatch(g, ctx, key, func(ctx context.Context, b *backend) (proxyResp, error) {
-			return g.sendProxy(ctx, b, path, body)
+			resp, err := g.fetch(ctx, b, http.MethodPost, path, body)
+			if err == nil && (resp.code >= 500 || resp.code == http.StatusTooManyRequests) {
+				err = statusError(b, resp.code)
+			}
+			return resp, err
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -844,8 +832,8 @@ func (g *Gateway) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		if !b.healthy.Load() {
 			continue
 		}
-		resp, err := g.sendProxyGet(ctx, b, "/v1/workloads")
-		if err == nil {
+		resp, err := g.fetch(ctx, b, http.MethodGet, "/v1/workloads", nil)
+		if err == nil && resp.code == http.StatusOK {
 			w.Header().Set("Content-Type", resp.contentType)
 			w.WriteHeader(resp.code)
 			w.Write(resp.body)
@@ -861,30 +849,6 @@ func (g *Gateway) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(mem.code)
 	w.Write(mem.body.Bytes())
-}
-
-// sendProxyGet is sendProxy for GET endpoints.
-func (g *Gateway) sendProxyGet(ctx context.Context, b *backend, path string) (proxyResp, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+path, nil)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	res, err := g.hc.Do(req)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(res.Body, 4096))
-		return proxyResp{}, fmt.Errorf("gateway: backend %s: status %d", b.url, res.StatusCode)
-	}
-	data, err := g.readBody(res.Body)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	return proxyResp{code: res.StatusCode, contentType: res.Header.Get("Content-Type"), body: data}, nil
 }
 
 // --- helpers ---

@@ -236,6 +236,35 @@ func TestGatewayAllBackendsDownDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestGatewayWorkloadsSkipsFailingBackend: GET /v1/workloads counts
+// any status but 200 as a failed backend, so a replica answering 500
+// is skipped and the embedded service answers instead.
+func TestGatewayWorkloadsSkipsFailingBackend(t *testing.T) {
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "backend down", http.StatusInternalServerError)
+	}))
+	defer failing.Close()
+	gw, err := gateway.New(fastConfig([]string{failing.URL}, service.New(service.Config{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw)
+	defer gts.Close()
+
+	res, err := http.Get(gts.URL + "/v1/workloads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, _ := io.ReadAll(res.Body)
+	if res.StatusCode != http.StatusOK || res.Header.Get(gateway.DegradedHeader) != "local" {
+		t.Fatalf("workloads: HTTP %d, degraded %q: %s", res.StatusCode, res.Header.Get(gateway.DegradedHeader), body)
+	}
+	if !strings.Contains(string(body), `"compress"`) {
+		t.Fatalf("workloads body: %s", body)
+	}
+}
+
 // TestGatewayRetriesTransientFailures: backends that 5xx intermittently
 // are retried until the batch completes byte-identically; the retry
 // counter proves the ladder fired. Hedging is disabled so the test pins

@@ -1,9 +1,8 @@
 package service
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -11,76 +10,46 @@ import (
 	"dvi/internal/ooo"
 )
 
-// metrics aggregates per-endpoint request counts, latency histograms,
-// per-phase orchestration timings and simulator-derived counters for
-// GET /metrics. The exposition format is the Prometheus text format,
-// hand-rolled: the daemon must not grow dependencies for a handful of
-// counters.
+// metrics accumulates what GET /metrics reports between scrapes:
+// per-endpoint request counts and latencies, per-phase orchestration
+// timings, and simulator-derived counters. handleMetrics adds the
+// values read at scrape time.
 type metrics struct {
-	mu       sync.Mutex
-	reqs     map[reqKey]int64
-	rejected map[string]int64 // admission 429s, by endpoint
-	lat      map[string]*histogram
-	phases   map[string]*histogram // span-tree phase durations, by phase name
+	requests obs.CounterVec   // by endpoint and status code
+	rejected obs.CounterVec   // admission 429s, by endpoint
+	latency  obs.HistogramVec // by endpoint
+	phases   obs.HistogramVec // span-tree phase durations, by phase name
 
-	// Simulator counters, accumulated from every timing result the
-	// service renders (exact and sampled): where the simulated cycles
-	// went, aggregated from the microarchitectural plane's Stats.
-	sim simCounters
-
+	mu sync.Mutex
+	// Simulator totals over every timing result the service renders
+	// (exact and sampled): runs, and one total per simCounters entry.
+	simRuns int64
+	sim     [len(simCounters)]uint64
 	// Sampling quality: how many sampled estimates were served and the
 	// relative CI half-width of the most recent one.
 	sampledRuns  int64
 	sampledRelCI float64
 }
 
-type reqKey struct {
-	endpoint string
-	code     int
-}
-
-// simCounters are monotonic totals over every timing simulation the
-// service has answered.
-type simCounters struct {
-	runs          int64
-	cycles        uint64
-	instructions  uint64
-	mispredicts   uint64
-	wrongPath     uint64
-	renameStalls  uint64
-	windowStalls  uint64
-	portStalls    uint64
-	elimSaves     uint64
-	elimRestores  uint64
-	kills         uint64
-	earlyReclaims uint64
-	faults        uint64
-}
-
-// latBuckets are the histogram upper bounds in seconds. Simulations run
-// milliseconds to seconds; the range covers both tails.
-var latBuckets = [...]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-type histogram struct {
-	counts [len(latBuckets) + 1]int64 // +1 for +Inf
-	sum    float64
-	total  int64
-}
-
-func (h *histogram) observe(secs float64) {
-	i := sort.SearchFloat64s(latBuckets[:], secs)
-	h.counts[i]++
-	h.sum += secs
-	h.total++
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		reqs:     map[reqKey]int64{},
-		rejected: map[string]int64{},
-		lat:      map[string]*histogram{},
-		phases:   map[string]*histogram{},
-	}
+// simCounters are the ooo.Stats fields /metrics sums over timing runs:
+// where the simulated cycles went, from the microarchitectural plane.
+// Each entry both accumulates (observeSim) and renders (handleMetrics).
+var simCounters = [...]struct {
+	name, help string
+	field      func(*ooo.Stats) uint64
+}{
+	{"dvid_sim_cycles_total", "Simulated cycles across all timing runs.", func(s *ooo.Stats) uint64 { return s.Cycles }},
+	{"dvid_sim_instructions_total", "Committed original instructions across all timing runs.", func(s *ooo.Stats) uint64 { return s.Committed }},
+	{"dvid_sim_mispredicts_total", "Recovered branch mispredictions across all timing runs.", func(s *ooo.Stats) uint64 { return s.Mispredicts }},
+	{"dvid_sim_wrong_path_total", "Wrong-path instructions dispatched (squashed at recovery).", func(s *ooo.Stats) uint64 { return s.WrongPath }},
+	{"dvid_sim_rename_stall_cycles_total", "Dispatch cycles stalled on an empty free list.", func(s *ooo.Stats) uint64 { return s.RenameStallCycles }},
+	{"dvid_sim_window_full_cycles_total", "Dispatch cycles stalled on a full instruction window.", func(s *ooo.Stats) uint64 { return s.WindowFullCycles }},
+	{"dvid_sim_port_stall_cycles_total", "Commit cycles stalled waiting for a cache port.", func(s *ooo.Stats) uint64 { return s.PortStallCycles }},
+	{"dvid_sim_elim_saves_total", "Saves eliminated at dispatch by dead-value information.", func(s *ooo.Stats) uint64 { return s.ElimSaves }},
+	{"dvid_sim_elim_restores_total", "Restores eliminated at dispatch by dead-value information.", func(s *ooo.Stats) uint64 { return s.ElimRests }},
+	{"dvid_sim_kills_total", "E-DVI kill annotations committed.", func(s *ooo.Stats) uint64 { return s.KillsSeen }},
+	{"dvid_sim_early_reclaims_total", "Physical registers reclaimed early by DVI kills.", func(s *ooo.Stats) uint64 { return s.EarlyReclaimed }},
+	{"dvid_sim_faults_total", "Correct-path fetches outside the text segment (wild jumps).", func(s *ooo.Stats) uint64 { return s.Faults }},
 }
 
 // observe records one finished request in the latency histogram. Callers
@@ -89,71 +58,37 @@ func newMetrics() *metrics {
 // zero, masking real latency regressions during overload — exactly when
 // the dashboards matter.
 func (m *metrics) observe(endpoint string, code int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reqs[reqKey{endpoint, code}]++
-	h := m.lat[endpoint]
-	if h == nil {
-		h = &histogram{}
-		m.lat[endpoint] = h
-	}
-	h.observe(d.Seconds())
+	m.requests.Inc(endpoint, strconv.Itoa(code))
+	m.latency.Observe(endpoint, d)
 }
 
 // reject records an admission-rejected (429) request: counted in
 // dvid_requests_total and dvid_admission_rejected_total, excluded from
 // the latency histogram.
 func (m *metrics) reject(endpoint string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reqs[reqKey{endpoint, 429}]++
-	m.rejected[endpoint]++
+	m.requests.Inc(endpoint, strconv.Itoa(http.StatusTooManyRequests))
+	m.rejected.Inc(endpoint)
 }
 
 // observeSpans folds one completed request span tree into the per-phase
 // duration histograms (the Recorder's OnRecord hook). The root span is
 // skipped — its duration is already the request latency histogram.
 func (m *metrics) observeSpans(root *obs.Span) {
-	type sample struct {
-		phase string
-		secs  float64
-	}
-	var samples []sample
 	root.Visit(func(s *obs.Span) {
-		if s == root {
-			return
+		if s != root {
+			m.phases.Observe(s.Name(), s.Duration())
 		}
-		samples = append(samples, sample{s.Name(), s.Duration().Seconds()})
 	})
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, sm := range samples {
-		h := m.phases[sm.phase]
-		if h == nil {
-			h = &histogram{}
-			m.phases[sm.phase] = h
-		}
-		h.observe(sm.secs)
-	}
 }
 
 // observeSim accumulates one timing run's statistics.
 func (m *metrics) observeSim(st ooo.Stats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sim.runs++
-	m.sim.cycles += st.Cycles
-	m.sim.instructions += st.Committed
-	m.sim.mispredicts += st.Mispredicts
-	m.sim.wrongPath += st.WrongPath
-	m.sim.renameStalls += st.RenameStallCycles
-	m.sim.windowStalls += st.WindowFullCycles
-	m.sim.portStalls += st.PortStallCycles
-	m.sim.elimSaves += st.ElimSaves
-	m.sim.elimRestores += st.ElimRests
-	m.sim.kills += st.KillsSeen
-	m.sim.earlyReclaims += st.EarlyReclaimed
-	m.sim.faults += st.Faults
+	m.simRuns++
+	for i, c := range simCounters {
+		m.sim[i] += c.field(&st)
+	}
 }
 
 // observeSampled records one served sampled estimate and its relative CI
@@ -165,108 +100,55 @@ func (m *metrics) observeSampled(relCI float64) {
 	m.sampledRelCI = relCI
 }
 
-// gauge is one instantaneous value appended by the server at render time.
-// counter marks values that only ever increase (cache hit/miss/eviction
-// totals) so the exposition declares the correct Prometheus type.
-type gauge struct {
-	name, help string
-	value      float64
-	counter    bool
-}
-
-// writeHistogram emits one histogram family member under name with the
-// given label.
-func writeHistogram(b *strings.Builder, name, labelKey, labelVal string, h *histogram) {
-	cum := int64(0)
-	for i, ub := range latBuckets {
-		cum += h.counts[i]
-		fmt.Fprintf(b, "%s_bucket{%s=%q,le=\"%g\"} %d\n", name, labelKey, labelVal, ub, cum)
-	}
-	fmt.Fprintf(b, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, labelKey, labelVal, h.total)
-	fmt.Fprintf(b, "%s_sum{%s=%q} %g\n", name, labelKey, labelVal, h.sum)
-	fmt.Fprintf(b, "%s_count{%s=%q} %d\n", name, labelKey, labelVal, h.total)
-}
-
-// sortedKeys returns the map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// render writes the exposition text: request counters, admission
+// handleMetrics serves GET /metrics: request counters, admission
 // rejections, latency and phase histograms, simulator totals, then the
-// provided gauges (queue depth, cache traffic, ...).
-func (m *metrics) render(gauges []gauge) string {
-	var b strings.Builder
+// values read now (queue depth, cache and pool traffic, the store).
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var x obs.Exposition
+	m := &s.met
+	x.CounterVec("dvid_requests_total", "Requests served, by endpoint and status code.", &m.requests, "endpoint", "code")
+	x.CounterVec("dvid_admission_rejected_total", "Requests rejected by admission control (429), excluded from the latency histogram.", &m.rejected, "endpoint")
+	x.HistogramVec("dvid_request_duration_seconds", "Request latency (admission rejections excluded).", "endpoint", &m.latency)
+	x.HistogramVec("dvid_phase_duration_seconds", "Per-phase orchestration latency from request span trees (queue-wait, execute, build, scan, interval, render, ...).", "phase", &m.phases)
+
+	// The daemon's scalars print in %g (Float), not Int: /metrics bytes
+	// are an interface, pinned by TestMetricsGoldenBytes.
 	m.mu.Lock()
-
-	keys := make([]reqKey, 0, len(m.reqs))
-	for k := range m.reqs {
-		keys = append(keys, k)
+	x.Counter("dvid_sim_runs_total", "Timing simulations answered (exact runs and sampled intervals aggregate alike).").Float(float64(m.simRuns))
+	for i, c := range simCounters {
+		x.Counter(c.name, c.help).Float(float64(m.sim[i]))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].endpoint != keys[j].endpoint {
-			return keys[i].endpoint < keys[j].endpoint
-		}
-		return keys[i].code < keys[j].code
-	})
-	b.WriteString("# HELP dvid_requests_total Requests served, by endpoint and status code.\n")
-	b.WriteString("# TYPE dvid_requests_total counter\n")
-	for _, k := range keys {
-		fmt.Fprintf(&b, "dvid_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.reqs[k])
-	}
-
-	if len(m.rejected) > 0 {
-		b.WriteString("# HELP dvid_admission_rejected_total Requests rejected by admission control (429), excluded from the latency histogram.\n")
-		b.WriteString("# TYPE dvid_admission_rejected_total counter\n")
-		for _, ep := range sortedKeys(m.rejected) {
-			fmt.Fprintf(&b, "dvid_admission_rejected_total{endpoint=%q} %d\n", ep, m.rejected[ep])
-		}
-	}
-
-	b.WriteString("# HELP dvid_request_duration_seconds Request latency (admission rejections excluded).\n")
-	b.WriteString("# TYPE dvid_request_duration_seconds histogram\n")
-	for _, ep := range sortedKeys(m.lat) {
-		writeHistogram(&b, "dvid_request_duration_seconds", "endpoint", ep, m.lat[ep])
-	}
-
-	if len(m.phases) > 0 {
-		b.WriteString("# HELP dvid_phase_duration_seconds Per-phase orchestration latency from request span trees (queue-wait, execute, build, scan, interval, render, ...).\n")
-		b.WriteString("# TYPE dvid_phase_duration_seconds histogram\n")
-		for _, ph := range sortedKeys(m.phases) {
-			writeHistogram(&b, "dvid_phase_duration_seconds", "phase", ph, m.phases[ph])
-		}
-	}
-
-	simCounters := []gauge{
-		{name: "dvid_sim_runs_total", help: "Timing simulations answered (exact runs and sampled intervals aggregate alike).", value: float64(m.sim.runs), counter: true},
-		{name: "dvid_sim_cycles_total", help: "Simulated cycles across all timing runs.", value: float64(m.sim.cycles), counter: true},
-		{name: "dvid_sim_instructions_total", help: "Committed original instructions across all timing runs.", value: float64(m.sim.instructions), counter: true},
-		{name: "dvid_sim_mispredicts_total", help: "Recovered branch mispredictions across all timing runs.", value: float64(m.sim.mispredicts), counter: true},
-		{name: "dvid_sim_wrong_path_total", help: "Wrong-path instructions dispatched (squashed at recovery).", value: float64(m.sim.wrongPath), counter: true},
-		{name: "dvid_sim_rename_stall_cycles_total", help: "Dispatch cycles stalled on an empty free list.", value: float64(m.sim.renameStalls), counter: true},
-		{name: "dvid_sim_window_full_cycles_total", help: "Dispatch cycles stalled on a full instruction window.", value: float64(m.sim.windowStalls), counter: true},
-		{name: "dvid_sim_port_stall_cycles_total", help: "Commit cycles stalled waiting for a cache port.", value: float64(m.sim.portStalls), counter: true},
-		{name: "dvid_sim_elim_saves_total", help: "Saves eliminated at dispatch by dead-value information.", value: float64(m.sim.elimSaves), counter: true},
-		{name: "dvid_sim_elim_restores_total", help: "Restores eliminated at dispatch by dead-value information.", value: float64(m.sim.elimRestores), counter: true},
-		{name: "dvid_sim_kills_total", help: "E-DVI kill annotations committed.", value: float64(m.sim.kills), counter: true},
-		{name: "dvid_sim_early_reclaims_total", help: "Physical registers reclaimed early by DVI kills.", value: float64(m.sim.earlyReclaims), counter: true},
-		{name: "dvid_sim_faults_total", help: "Correct-path fetches outside the text segment (wild jumps).", value: float64(m.sim.faults), counter: true},
-		{name: "dvid_sampled_runs_total", help: "Sampled (statistical) simulations served.", value: float64(m.sampledRuns), counter: true},
-		{name: "dvid_sampled_rel_ci", help: "Relative CI half-width of the most recently served sampled estimate.", value: m.sampledRelCI},
-	}
+	x.Counter("dvid_sampled_runs_total", "Sampled (statistical) simulations served.").Float(float64(m.sampledRuns))
+	x.Gauge("dvid_sampled_rel_ci", "Relative CI half-width of the most recently served sampled estimate.").Float(m.sampledRelCI)
 	m.mu.Unlock()
 
-	for _, g := range append(simCounters, gauges...) {
-		typ := "gauge"
-		if g.counter {
-			typ = "counter"
-		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", g.name, g.help, g.name, typ, g.name, g.value)
+	cache := s.eng.Cache()
+	hits, misses := cache.Stats()
+	pool := s.eng.PoolStats()
+	x.Gauge("dvid_uptime_seconds", "Seconds since the server started.").Float(time.Since(s.start).Seconds())
+	x.Gauge("dvid_inflight_requests", "Requests currently executing.").Float(float64(s.adm.inflight.Load()))
+	x.Gauge("dvid_queue_depth", "Requests waiting for an execution slot.").Float(float64(s.adm.waiting.Load()))
+	x.Gauge("dvid_queue_capacity", "Admission queue bound.").Float(float64(s.adm.maxQueue))
+	x.Counter("dvid_build_cache_hits_total", "Build cache hits.").Float(float64(hits))
+	x.Counter("dvid_build_cache_misses_total", "Build cache misses (compiles).").Float(float64(misses))
+	x.Counter("dvid_build_cache_evictions_total", "Build cache LRU evictions.").Float(float64(cache.Evictions()))
+	x.Gauge("dvid_build_cache_entries", "Distinct binaries cached or building.").Float(float64(cache.Len()))
+	x.Counter("dvid_machine_pool_reuse_total", "Timing jobs served by resetting a pooled warm machine.").Float(float64(pool.MachineReuse))
+	x.Counter("dvid_machine_pool_fresh_total", "Timing jobs that had to construct a fresh machine.").Float(float64(pool.MachineFresh))
+	x.Counter("dvid_emulator_pool_reuse_total", "Functional/ctxswitch jobs served by resetting a pooled warm emulator.").Float(float64(pool.EmuReuse))
+	x.Counter("dvid_emulator_pool_fresh_total", "Functional/ctxswitch jobs that had to construct a fresh emulator.").Float(float64(pool.EmuFresh))
+	x.Counter("dvid_checkpoint_pool_reuse_total", "Sampling checkpoints served from the recycled-checkpoint pool.").Float(float64(pool.CheckpointReuse))
+	x.Counter("dvid_checkpoint_pool_fresh_total", "Sampling checkpoints that had to be freshly allocated.").Float(float64(pool.CheckpointFresh))
+	x.Counter("dvid_build_compiles_total", "Compile invocations (stays zero across a restart served from a warm artifact store).").Float(float64(cache.Compiles()))
+	if st := s.eng.Store(); st != nil {
+		sst := st.Stats()
+		x.Counter("dvid_store_hits_total", "Artifact-store reads served from a checksum-verified entry.").Float(float64(sst.Hits))
+		x.Counter("dvid_store_misses_total", "Artifact-store reads with no servable entry.").Float(float64(sst.Misses))
+		x.Counter("dvid_store_puts_total", "Artifacts persisted.").Float(float64(sst.Puts))
+		x.Counter("dvid_store_evictions_total", "Artifacts evicted by the disk byte budget.").Float(float64(sst.Evictions))
+		x.Counter("dvid_store_quarantined_total", "Corrupt artifacts quarantined on read (never served).").Float(float64(sst.Quarantined))
+		x.Gauge("dvid_store_entries", "Live artifacts on disk.").Float(float64(sst.Entries))
+		x.Gauge("dvid_store_bytes", "Bytes held by live artifacts.").Float(float64(sst.Bytes))
 	}
-	return b.String()
+	x.Serve(w)
 }

@@ -148,7 +148,7 @@ type Server struct {
 	mux      *http.ServeMux
 	sess     *session.Session
 	eng      *runner.Engine // the session's engine (cache accounting)
-	met      *metrics
+	met      metrics
 	adm      *admission
 	start    time.Time
 	compile  runner.CompileFunc // resolved Config.Compile (benchmark specs)
@@ -199,7 +199,6 @@ func New(cfg Config) *Server {
 
 	s := &Server{
 		cfg:     cfg,
-		met:     newMetrics(),
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		start:   time.Now(),
 		compile: cfg.Compile,
@@ -676,43 +675,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	s.writeJSON(w, code, h)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.eng.Cache().Stats()
-	pool := s.eng.PoolStats()
-	gauges := []gauge{
-		{name: "dvid_uptime_seconds", help: "Seconds since the server started.", value: time.Since(s.start).Seconds()},
-		{name: "dvid_inflight_requests", help: "Requests currently executing.", value: float64(s.adm.inflight.Load())},
-		{name: "dvid_queue_depth", help: "Requests waiting for an execution slot.", value: float64(s.adm.waiting.Load())},
-		{name: "dvid_queue_capacity", help: "Admission queue bound.", value: float64(s.adm.maxQueue)},
-		{name: "dvid_build_cache_hits_total", help: "Build cache hits.", value: float64(hits), counter: true},
-		{name: "dvid_build_cache_misses_total", help: "Build cache misses (compiles).", value: float64(misses), counter: true},
-		{name: "dvid_build_cache_evictions_total", help: "Build cache LRU evictions.", value: float64(s.eng.Cache().Evictions()), counter: true},
-		{name: "dvid_build_cache_entries", help: "Distinct binaries cached or building.", value: float64(s.eng.Cache().Len())},
-		{name: "dvid_machine_pool_reuse_total", help: "Timing jobs served by resetting a pooled warm machine.", value: float64(pool.MachineReuse), counter: true},
-		{name: "dvid_machine_pool_fresh_total", help: "Timing jobs that had to construct a fresh machine.", value: float64(pool.MachineFresh), counter: true},
-		{name: "dvid_emulator_pool_reuse_total", help: "Functional/ctxswitch jobs served by resetting a pooled warm emulator.", value: float64(pool.EmuReuse), counter: true},
-		{name: "dvid_emulator_pool_fresh_total", help: "Functional/ctxswitch jobs that had to construct a fresh emulator.", value: float64(pool.EmuFresh), counter: true},
-		{name: "dvid_checkpoint_pool_reuse_total", help: "Sampling checkpoints served from the recycled-checkpoint pool.", value: float64(pool.CheckpointReuse), counter: true},
-		{name: "dvid_checkpoint_pool_fresh_total", help: "Sampling checkpoints that had to be freshly allocated.", value: float64(pool.CheckpointFresh), counter: true},
-		{name: "dvid_build_compiles_total", help: "Compile invocations (stays zero across a restart served from a warm artifact store).", value: float64(s.eng.Cache().Compiles()), counter: true},
-	}
-	if st := s.eng.Store(); st != nil {
-		sst := st.Stats()
-		gauges = append(gauges,
-			gauge{name: "dvid_store_hits_total", help: "Artifact-store reads served from a checksum-verified entry.", value: float64(sst.Hits), counter: true},
-			gauge{name: "dvid_store_misses_total", help: "Artifact-store reads with no servable entry.", value: float64(sst.Misses), counter: true},
-			gauge{name: "dvid_store_puts_total", help: "Artifacts persisted.", value: float64(sst.Puts), counter: true},
-			gauge{name: "dvid_store_evictions_total", help: "Artifacts evicted by the disk byte budget.", value: float64(sst.Evictions), counter: true},
-			gauge{name: "dvid_store_quarantined_total", help: "Corrupt artifacts quarantined on read (never served).", value: float64(sst.Quarantined), counter: true},
-			gauge{name: "dvid_store_entries", help: "Live artifacts on disk.", value: float64(sst.Entries)},
-			gauge{name: "dvid_store_bytes", help: "Bytes held by live artifacts.", value: float64(sst.Bytes)},
-		)
-	}
-	body := s.met.render(gauges)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(body))
 }
 
 // handleTraceRecent serves the last-N completed request span trees,
