@@ -9,6 +9,7 @@
 package dvi_test
 
 import (
+	"context"
 	"io"
 	"strconv"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"dvi/internal/emu"
 	"dvi/internal/harness"
 	"dvi/internal/ooo"
+	"dvi/internal/runner"
 	"dvi/internal/sample"
 	"dvi/internal/workload"
 )
@@ -27,6 +29,23 @@ import (
 // shapes, small enough for tolerable -bench runtimes.
 func benchOpts() harness.Options {
 	return harness.Options{Scale: 1, MaxInsts: 60_000, SweepMaxInsts: 25_000}
+}
+
+// report runs the selected figures through harness.Report on a fresh
+// session, as one batch, and returns their tables (one per figure, in
+// registry order) and the batch's results.
+func report(b *testing.B, ids ...string) ([]harness.Table, harness.ResultSet) {
+	b.Helper()
+	opt := benchOpts()
+	figs, rs, err := harness.Report(context.Background(), harness.NewSession(opt, nil), opt, ids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tabs := make([]harness.Table, len(figs))
+	for i, f := range figs {
+		tabs[i] = f.Tables[0]
+	}
+	return tabs, rs
 }
 
 func firstPct(b *testing.B, s string) float64 {
@@ -43,7 +62,7 @@ func firstPct(b *testing.B, s string) float64 {
 // BenchmarkFig02MachineConfig renders the machine configuration table.
 func BenchmarkFig02MachineConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(harness.Fig2MachineConfig().Rows) == 0 {
+		if t, _ := report(b, "fig2"); len(t[0].Rows) == 0 {
 			b.Fatal("empty config")
 		}
 	}
@@ -53,39 +72,38 @@ func BenchmarkFig02MachineConfig(b *testing.B) {
 // characterization table (functional runs of all seven programs).
 func BenchmarkFig03Characterization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig3Characterization(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) != 7 {
+		if t, _ := report(b, "fig3"); len(t[0].Rows) != 7 {
 			b.Fatal("wrong row count")
 		}
 	}
 }
 
+// suiteIPC is the suite-mean IPC of the fig5 grid's runs at one register
+// file size and DVI level, summed in grid order as the figure does.
+func suiteIPC(res []runner.Result, regs int, level core.Level) float64 {
+	var sum float64
+	n := 0
+	for _, r := range res {
+		if r.Job.Machine.PhysRegs == regs && r.Job.Machine.Emu.DVI.Level == level {
+			sum += r.Timing.IPC()
+			n++
+		}
+	}
+	return sum / float64(n)
+}
+
 // BenchmarkFig05RegfileIPC sweeps register file sizes across the three DVI
 // levels (reduced grid) and reports the IPC recovered by DVI at the
-// smallest file.
+// smallest file, from the grid's results rather than the table's rounded
+// cells.
 func BenchmarkFig05RegfileIPC(b *testing.B) {
 	saved := harness.Fig5Sizes
 	harness.Fig5Sizes = []int{34, 50, 64, 96}
 	defer func() { harness.Fig5Sizes = saved }()
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		_, points, err := harness.Fig5RegfileIPC(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var none34, full34 float64
-		for _, p := range points {
-			if p.Regs == 34 && p.Level == core.None {
-				none34 = p.IPC
-			}
-			if p.Regs == 34 && p.Level == core.Full {
-				full34 = p.IPC
-			}
-		}
-		gain = full34/none34 - 1
+		_, rs := report(b, "fig5")
+		gain = suiteIPC(rs["fig5"], 34, core.Full)/suiteIPC(rs["fig5"], 34, core.None) - 1
 	}
 	b.ReportMetric(100*gain, "%IPC-gain@34regs")
 }
@@ -98,15 +116,8 @@ func BenchmarkFig06RegfilePerformance(b *testing.B) {
 	defer func() { harness.Fig5Sizes = saved }()
 	var peakNote string
 	for i := 0; i < b.N; i++ {
-		_, points, err := harness.Fig5RegfileIPC(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		t, err := harness.Fig6Performance(benchOpts(), points)
-		if err != nil {
-			b.Fatal(err)
-		}
-		peakNote = t.Notes[0]
+		t, _ := report(b, "fig6")
+		peakNote = t[0].Notes[0]
 	}
 	b.Logf("fig6: %s", peakNote)
 }
@@ -117,11 +128,8 @@ func BenchmarkFig06RegfilePerformance(b *testing.B) {
 func BenchmarkFig09Eliminated(b *testing.B) {
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig9Eliminated(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		avg = firstPct(b, t.Rows[len(t.Rows)-1][2])
+		t, _ := report(b, "fig9")
+		avg = firstPct(b, t[0].Rows[len(t[0].Rows)-1][2])
 	}
 	b.ReportMetric(avg, "%s/r-eliminated")
 }
@@ -131,12 +139,9 @@ func BenchmarkFig09Eliminated(b *testing.B) {
 func BenchmarkFig10IPCSpeedup(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig10Speedups(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		t, _ := report(b, "fig10")
 		best = 0
-		for _, row := range t.Rows {
+		for _, row := range t[0].Rows {
 			if v := firstPct(b, row[3]); v > best {
 				best = v
 			}
@@ -150,11 +155,8 @@ func BenchmarkFig10IPCSpeedup(b *testing.B) {
 func BenchmarkFig11PortSensitivity(b *testing.B) {
 	var onePort float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig11PortSensitivity(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		onePort = firstPct(b, t.Rows[0][2]) // gcc, 4-way, 1 port
+		t, _ := report(b, "fig11")
+		onePort = firstPct(b, t[0].Rows[0][2]) // gcc, 4-way, 1 port
 	}
 	b.ReportMetric(onePort, "%gcc-4w-1port")
 }
@@ -164,11 +166,8 @@ func BenchmarkFig11PortSensitivity(b *testing.B) {
 func BenchmarkFig12ContextSwitch(b *testing.B) {
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig12ContextSwitch(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		avg = firstPct(b, t.Rows[len(t.Rows)-1][2])
+		t, _ := report(b, "fig12")
+		avg = firstPct(b, t[0].Rows[len(t[0].Rows)-1][2])
 	}
 	b.ReportMetric(avg, "%switch-reduction")
 }
@@ -178,12 +177,9 @@ func BenchmarkFig12ContextSwitch(b *testing.B) {
 func BenchmarkFig13EDVIOverhead(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig13EDVIOverhead(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		t, _ := report(b, "fig13")
 		worst = 0
-		for _, row := range t.Rows {
+		for _, row := range t[0].Rows {
 			if v := firstPct(b, row[1]); v > worst {
 				worst = v
 			}
@@ -195,27 +191,21 @@ func BenchmarkFig13EDVIOverhead(b *testing.B) {
 // BenchmarkAblationStackDepth sweeps the LVM-Stack depth.
 func BenchmarkAblationStackDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblationStackDepth(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+		report(b, "ablation-stack")
 	}
 }
 
 // BenchmarkAblationKillPlacement compares E-DVI encoding densities.
 func BenchmarkAblationKillPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblationKillPlacement(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+		report(b, "ablation-kills")
 	}
 }
 
 // BenchmarkAblationWrongPath measures wrong-path fetch modelling cost.
 func BenchmarkAblationWrongPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblationWrongPath(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+		report(b, "ablation-wrongpath")
 	}
 }
 

@@ -9,7 +9,7 @@
 //	dvibench -figures ablations       # the three ablation studies
 //	dvibench -list                    # show selectable experiment IDs
 //	dvibench -scale 2 -maxinsts 2000000
-//	dvibench -json > bench.json       # machine-readable per-figure stats
+//	dvibench -json > bench.json       # the same figures as one JSON document
 //	dvibench -cpuprofile cpu.pprof    # profile the run (go tool pprof)
 package main
 
@@ -49,7 +49,7 @@ func run() int {
 		scale    = flag.Int("scale", 1, "workload scale factor")
 		max      = flag.Uint64("maxinsts", 400_000, "instruction budget per timing run")
 		sweep    = flag.Uint64("sweepinsts", 150_000, "instruction budget per sweep point (fig5)")
-		asJSON   = flag.Bool("json", false, "emit machine-readable per-figure stats as JSON on stdout")
+		asJSON   = flag.Bool("json", false, "emit the selected figures' tables and per-figure aggregates as JSON on stdout")
 		sampled  = flag.Bool("sampling", false, "estimate timing figures by statistical sampling (checkpointed intervals simulated in parallel, ±CI columns)")
 		interval = flag.Uint64("interval", 0, "sampled-interval length in instructions (0 = default; implies -sampling)")
 		warmup   = flag.Uint64("warmup", 0, "detailed warmup before each measured interval (0 = interval/5; implies -sampling)")
@@ -142,7 +142,7 @@ func run() int {
 	sess := harness.NewSession(opt, progress)
 	start := time.Now()
 	if *asJSON {
-		if err := emitJSON(ctx, os.Stdout, sess, opt, ids, start); err != nil {
+		if err := emitJSON(ctx, os.Stdout, sess, opt, ids); err != nil {
 			fmt.Fprintln(os.Stderr, "dvibench:", err)
 			return 1
 		}
@@ -202,83 +202,70 @@ func (a *phaseAcc) print(w io.Writer) {
 	}
 }
 
-// benchFigure is one figure's machine-readable record: per-figure
-// wall-clock plus aggregate counters from its own job grid, alongside
-// the rendered tables (cell values remain the precise per-row numbers).
+// benchFigure is one figure's machine-readable record: its rendered
+// tables plus aggregate counters over its own grid. Every field is always
+// present; a figure without the jobs a field counts reports zero (or an
+// empty list).
 type benchFigure struct {
-	ID     string  `json:"id"`
-	Title  string  `json:"title"`
-	WallMS float64 `json:"wall_ms"`
-	Jobs   int     `json:"jobs"`
-	// Aggregates over the figure's timing jobs (absent when it has none).
-	Cycles       uint64  `json:"cycles,omitempty"`
-	Committed    uint64  `json:"committed,omitempty"`
-	IPC          float64 `json:"ipc,omitempty"` // committed/cycles over the grid
-	ElimSaves    uint64  `json:"elim_saves,omitempty"`
-	ElimRestores uint64  `json:"elim_restores,omitempty"`
-	// MinstPerS is simulator throughput: committed (simulated) timing
-	// instructions per wall-clock second of this figure's run — the
-	// engineering metric the perf trajectory tracks (since dvibench/v2).
-	MinstPerS float64 `json:"minst_per_s,omitempty"`
-	// Sampled-mode error bounds (dvibench/v3, absent in exact mode):
-	// the worst-case confidence-interval half-width over the figure's
-	// grid, and how much detail the sampler actually simulated.
-	CIHalfWidth       float64 `json:"ci_half_width,omitempty"` // on IPC, worst row
-	RelCI             float64 `json:"rel_ci,omitempty"`        // worst relative half-width
-	IntervalsMeasured int     `json:"intervals_measured,omitempty"`
-	IntervalsTotal    int     `json:"intervals_total,omitempty"`
-	// Multi-context aggregates (dvibench/v4, absent when the grid has no
-	// multi-context timing jobs): the widest machine in the grid, and per
-	// hardware context — summed over the grid's multi-context jobs —
-	// committed instructions and save/restore eliminations. Entry i is
-	// context i; per-context sums always add up to the corresponding
-	// share of the aggregate counters above.
-	MaxContexts  int      `json:"max_contexts,omitempty"`
-	CtxCommitted []uint64 `json:"ctx_committed,omitempty"`
-	CtxElim      []uint64 `json:"ctx_elim,omitempty"`
-	// Inferred-annotation aggregates (dvibench/v5, absent when the grid
-	// runs no inferred-flavour builds): the share of ElimSaves/ElimRestores
-	// above achieved by binaries whose kills the interprocedural inference
-	// pass discovered from the machine code alone, and how many of the
-	// grid's jobs ran that flavour.
-	InferJobs         int    `json:"infer_jobs,omitempty"`
-	InferElimSaves    uint64 `json:"infer_elim_saves,omitempty"`
-	InferElimRestores uint64 `json:"infer_elim_restores,omitempty"`
+	ID    string `json:"id"`
+	Title string `json:"title"`
+	Jobs  int    `json:"jobs"`
+	// Cycles and committed count the grid's timing jobs; eliminations
+	// count its timing and functional jobs.
+	Cycles       uint64  `json:"cycles"`
+	Committed    uint64  `json:"committed"`
+	IPC          float64 `json:"ipc"` // committed/cycles over the grid
+	ElimSaves    uint64  `json:"elim_saves"`
+	ElimRestores uint64  `json:"elim_restores"`
+	// Sampled-mode error bounds: the worst-case confidence-interval
+	// half-width over the figure's grid, and how much detail the sampler
+	// actually simulated.
+	CIHalfWidth       float64 `json:"ci_half_width"` // on IPC, worst row
+	RelCI             float64 `json:"rel_ci"`        // worst relative half-width
+	IntervalsMeasured int     `json:"intervals_measured"`
+	IntervalsTotal    int     `json:"intervals_total"`
+	// Multi-context aggregates over the grid's multi-context timing jobs:
+	// the widest machine, and per hardware context the committed
+	// instructions and save/restore eliminations (entry i is context i).
+	MaxContexts  int      `json:"max_contexts"`
+	CtxCommitted []uint64 `json:"ctx_committed"`
+	CtxElim      []uint64 `json:"ctx_elim"`
+	// The share of ElimSaves/ElimRestores achieved by binaries whose
+	// kills the inference pass discovered, and how many jobs ran that
+	// flavour.
+	InferJobs         int    `json:"infer_jobs"`
+	InferElimSaves    uint64 `json:"infer_elim_saves"`
+	InferElimRestores uint64 `json:"infer_elim_restores"`
 
 	Tables []harness.Table `json:"tables"`
 }
 
-// benchSampling records the effective sampling plan a -sampling run used
-// (dvibench/v3). Absent in exact mode, so v2 consumers that ignore
-// unknown fields keep working.
+// benchSampling records the effective sampling plan of a -sampling run.
 type benchSampling struct {
 	Interval   uint64  `json:"interval"`
 	Warmup     uint64  `json:"warmup"`
 	Period     int     `json:"period"`
-	TargetCI   float64 `json:"target_ci,omitempty"`
+	TargetCI   float64 `json:"target_ci"`
 	Confidence float64 `json:"confidence"`
 }
 
-// benchReport is the -json document: the perf trajectory format the
-// BENCH_*.json history records.
+// benchReport is the -json document. It holds only results, so it is
+// byte-identical at any worker count; perfbench measures time.
 type benchReport struct {
 	Schema        string         `json:"schema"`
-	Workers       int            `json:"workers"`
 	Scale         int            `json:"scale"`
 	MaxInsts      uint64         `json:"max_insts"`
 	SweepMaxInsts uint64         `json:"sweep_max_insts"`
-	Sampling      *benchSampling `json:"sampling,omitempty"`
+	Sampling      *benchSampling `json:"sampling"` // null in exact mode
 	Figures       []benchFigure  `json:"figures"`
 	Compiles      int64          `json:"compiles"`
 	CacheHits     int64          `json:"cache_hits"`
-	TotalWallMS   float64        `json:"total_wall_ms"`
 }
 
 // gridIPC aggregates committed/cycles over a figure's grid. A figure
-// whose selection contributes no timing jobs (fig2 has no grid at all;
-// fig6 renders purely from fig5's results) has zero cycles: that must
-// yield 0, not NaN — json.Marshal rejects NaN and would fail the whole
-// report.
+// whose grid has no timing jobs (fig2 has no grid at all; fig6 renders
+// from fig5's results) has zero cycles: that must yield 0, not NaN —
+// json.Marshal rejects NaN and would fail the whole report.
 func gridIPC(committed, cycles uint64) float64 {
 	if cycles == 0 {
 		return 0
@@ -286,18 +273,60 @@ func gridIPC(committed, cycles uint64) float64 {
 	return float64(committed) / float64(cycles)
 }
 
-// buildReport runs the selected figures one at a time (sharing sess's
-// build cache) so each gets its own wall-clock, and assembles the
-// machine-readable report. A figure's Needs grids re-run inside its
-// measurement — the timing is per-figure cost, not marginal cost.
-func buildReport(ctx context.Context, sess *session.Session, opt harness.Options, ids []string, start time.Time) (benchReport, error) {
-	selected := map[string]bool{}
-	for _, id := range ids {
-		selected[id] = true
+// figureStats forms one figure's record from its tables and its grid's
+// results.
+func figureStats(f harness.Rendered, res []runner.Result) benchFigure {
+	bf := benchFigure{ID: f.ID, Title: f.Title, CtxCommitted: []uint64{}, CtxElim: []uint64{}, Tables: f.Tables}
+	for _, r := range res {
+		bf.Jobs++
+		var saves, rests uint64
+		switch r.Job.Kind {
+		case runner.Timing:
+			bf.Cycles += r.Timing.Cycles
+			bf.Committed += r.Timing.Committed
+			saves, rests = r.Timing.ElimSaves, r.Timing.ElimRests
+		case runner.Functional:
+			saves, rests = r.Func.SavesElim, r.Func.RestoresElim
+		}
+		bf.ElimSaves += saves
+		bf.ElimRestores += rests
+		if r.Job.Build.Infer {
+			bf.InferJobs++
+			bf.InferElimSaves += saves
+			bf.InferElimRestores += rests
+		}
+		if n := len(r.CtxStats); n > 1 {
+			bf.MaxContexts = max(bf.MaxContexts, n)
+			for len(bf.CtxCommitted) < n {
+				bf.CtxCommitted = append(bf.CtxCommitted, 0)
+				bf.CtxElim = append(bf.CtxElim, 0)
+			}
+			for i, c := range r.CtxStats {
+				bf.CtxCommitted[i] += c.Committed
+				bf.CtxElim[i] += c.ElimSaves + c.ElimRests
+			}
+		}
+		if est := r.Sampled; est != nil {
+			if est.CIHalfWidth > bf.CIHalfWidth {
+				bf.CIHalfWidth = est.CIHalfWidth
+			}
+			if est.RelCI > bf.RelCI {
+				bf.RelCI = est.RelCI
+			}
+			bf.IntervalsMeasured += est.Measured
+			bf.IntervalsTotal += est.Intervals
+		}
 	}
+	bf.IPC = gridIPC(bf.Committed, bf.Cycles)
+	return bf
+}
+
+// buildReport runs the selected figures as one batch, as the text report
+// does, and assembles the machine-readable report: each selected figure's
+// tables and its aggregates over its own grid.
+func buildReport(ctx context.Context, sess *session.Session, opt harness.Options, ids []string) (benchReport, error) {
 	rep := benchReport{
-		Schema:        "dvibench/v5",
-		Workers:       sess.Workers(),
+		Schema:        "dvibench/v6",
 		Scale:         opt.Scale,
 		MaxInsts:      opt.MaxInsts,
 		SweepMaxInsts: opt.SweepMaxInsts,
@@ -312,86 +341,20 @@ func buildReport(ctx context.Context, sess *session.Session, opt harness.Options
 			Confidence: sample.Confidence,
 		}
 	}
-	for _, fig := range harness.Figures() {
-		if !selected[fig.ID] {
-			continue
-		}
-		figStart := time.Now()
-		rs, err := harness.CollectResults(ctx, sess, opt, []string{fig.ID})
-		if err != nil {
-			return rep, fmt.Errorf("%s: %w", fig.ID, err)
-		}
-		tables, err := fig.Render(opt, rs)
-		if err != nil {
-			return rep, fmt.Errorf("%s: %w", fig.ID, err)
-		}
-		bf := benchFigure{
-			ID:     fig.ID,
-			Title:  fig.Title,
-			WallMS: float64(time.Since(figStart).Microseconds()) / 1000,
-			Tables: tables,
-		}
-		for _, res := range rs[fig.ID] {
-			bf.Jobs++
-			switch res.Job.Kind {
-			case runner.Timing:
-				bf.Cycles += res.Timing.Cycles
-				bf.Committed += res.Timing.Committed
-				bf.ElimSaves += res.Timing.ElimSaves
-				bf.ElimRestores += res.Timing.ElimRests
-			case runner.Functional:
-				bf.ElimSaves += res.Func.SavesElim
-				bf.ElimRestores += res.Func.RestoresElim
-			}
-			if res.Job.Build.Infer {
-				bf.InferJobs++
-				switch res.Job.Kind {
-				case runner.Timing:
-					bf.InferElimSaves += res.Timing.ElimSaves
-					bf.InferElimRestores += res.Timing.ElimRests
-				case runner.Functional:
-					bf.InferElimSaves += res.Func.SavesElim
-					bf.InferElimRestores += res.Func.RestoresElim
-				}
-			}
-			if n := len(res.CtxStats); n > 1 {
-				if n > bf.MaxContexts {
-					bf.MaxContexts = n
-				}
-				for len(bf.CtxCommitted) < n {
-					bf.CtxCommitted = append(bf.CtxCommitted, 0)
-					bf.CtxElim = append(bf.CtxElim, 0)
-				}
-				for i, c := range res.CtxStats {
-					bf.CtxCommitted[i] += c.Committed
-					bf.CtxElim[i] += c.ElimSaves + c.ElimRests
-				}
-			}
-			if est := res.Sampled; est != nil {
-				if est.CIHalfWidth > bf.CIHalfWidth {
-					bf.CIHalfWidth = est.CIHalfWidth
-				}
-				if est.RelCI > bf.RelCI {
-					bf.RelCI = est.RelCI
-				}
-				bf.IntervalsMeasured += est.Measured
-				bf.IntervalsTotal += est.Intervals
-			}
-		}
-		bf.IPC = gridIPC(bf.Committed, bf.Cycles)
-		if bf.WallMS > 0 {
-			bf.MinstPerS = float64(bf.Committed) / (bf.WallMS / 1000) / 1e6
-		}
-		rep.Figures = append(rep.Figures, bf)
+	figs, rs, err := harness.Report(ctx, sess, opt, ids)
+	if err != nil {
+		return rep, err
+	}
+	for _, f := range figs {
+		rep.Figures = append(rep.Figures, figureStats(f, rs[f.ID]))
 	}
 	rep.CacheHits, rep.Compiles = sess.Cache().Stats()
-	rep.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
 	return rep, nil
 }
 
 // emitJSON writes the machine-readable report for ids to w.
-func emitJSON(ctx context.Context, w io.Writer, sess *session.Session, opt harness.Options, ids []string, start time.Time) error {
-	rep, err := buildReport(ctx, sess, opt, ids, start)
+func emitJSON(ctx context.Context, w io.Writer, sess *session.Session, opt harness.Options, ids []string) error {
+	rep, err := buildReport(ctx, sess, opt, ids)
 	if err != nil {
 		return err
 	}

@@ -7,10 +7,11 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"dvi/internal/harness"
+	"dvi/internal/runner"
 	"dvi/internal/sample"
 )
 
@@ -32,7 +33,7 @@ func TestJSONReportNoTimingJobs(t *testing.T) {
 	for _, id := range []string{"fig2", "fig6"} {
 		opt := testOptions()
 		sess := harness.NewSession(opt, nil)
-		rep, err := buildReport(context.Background(), sess, opt, []string{id}, time.Now())
+		rep, err := buildReport(context.Background(), sess, opt, []string{id})
 		if err != nil {
 			t.Fatalf("%s: buildReport: %v", id, err)
 		}
@@ -46,72 +47,46 @@ func TestJSONReportNoTimingJobs(t *testing.T) {
 		if math.IsNaN(bf.IPC) || math.IsInf(bf.IPC, 0) || bf.IPC != 0 {
 			t.Fatalf("%s: IPC = %v, want 0 for a zero-cycle grid", id, bf.IPC)
 		}
-		if bf.MinstPerS != 0 {
-			t.Fatalf("%s: minst_per_s = %v, want 0 with no timing jobs", id, bf.MinstPerS)
-		}
 		if _, err := json.Marshal(rep); err != nil {
 			t.Fatalf("%s: marshal: %v", id, err)
 		}
 	}
 }
 
-// TestJSONReportThroughputAggregate pins the dvibench/v2 addition: a
-// figure with timing jobs reports its simulator throughput (committed
-// simulated instructions per wall second) alongside IPC.
-func TestJSONReportThroughputAggregate(t *testing.T) {
-	opt := testOptions()
-	sess := harness.NewSession(opt, nil)
-	rep, err := buildReport(context.Background(), sess, opt, []string{"fig10"}, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Figures) != 1 {
-		t.Fatalf("%d figures, want 1", len(rep.Figures))
-	}
-	bf := rep.Figures[0]
-	if bf.Committed == 0 || bf.WallMS <= 0 {
-		t.Fatalf("fig10 grid ran nothing: %+v", bf)
-	}
-	if bf.MinstPerS <= 0 || math.IsInf(bf.MinstPerS, 0) || math.IsNaN(bf.MinstPerS) {
-		t.Fatalf("minst_per_s = %v, want a positive finite throughput", bf.MinstPerS)
-	}
-	if want := float64(bf.Committed) / (bf.WallMS / 1000) / 1e6; math.Abs(bf.MinstPerS-want) > 1e-9 {
-		t.Fatalf("minst_per_s = %v, want %v", bf.MinstPerS, want)
-	}
-}
-
 // TestEmitJSONRoundTrips checks the full -json path writes a decodable
-// document with the schema header.
+// document with the schema header, and that fields are present even
+// where they are zero: an exact run's sampling plan is null and a figure
+// with no grid still carries its aggregates.
 func TestEmitJSONRoundTrips(t *testing.T) {
 	opt := testOptions()
 	sess := harness.NewSession(opt, nil)
 	var buf bytes.Buffer
-	if err := emitJSON(context.Background(), &buf, sess, opt, []string{"fig2"}, time.Now()); err != nil {
+	if err := emitJSON(context.Background(), &buf, sess, opt, []string{"fig2"}); err != nil {
 		t.Fatal(err)
 	}
 	var rep benchReport
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if rep.Schema != "dvibench/v5" {
-		t.Fatalf("schema %q, want dvibench/v5", rep.Schema)
+	if rep.Schema != "dvibench/v6" {
+		t.Fatalf("schema %q, want dvibench/v6", rep.Schema)
 	}
-	if rep.Sampling != nil {
-		t.Fatalf("exact-mode report carries a sampling block: %+v", rep.Sampling)
+	for _, field := range []string{`"sampling": null`, `"ctx_committed": []`, `"infer_jobs": 0`} {
+		if !bytes.Contains(buf.Bytes(), []byte(field)) {
+			t.Errorf("exact-mode fig2 document lacks %s:\n%s", field, buf.Bytes())
+		}
 	}
 }
 
-// TestJSONReportSampling pins the dvibench/v3 additions: a -sampling run
-// records its effective plan in the report header and each timing figure
-// reports its worst-case error bound and measured/total interval counts.
-// Exact runs omit all of it (checked by TestEmitJSONRoundTrips above), so
-// v2 consumers that ignore unknown fields keep working.
+// TestJSONReportSampling pins the sampled fields: a -sampling run records
+// its effective plan in the report header and each timing figure reports
+// its worst-case error bound and measured/total interval counts.
 func TestJSONReportSampling(t *testing.T) {
 	opt := testOptions()
 	opt.MaxInsts = 120_000
 	opt.Sampling = &sample.Options{Interval: 4000, Warmup: 1000, Period: 4}
 	sess := harness.NewSession(opt, nil)
-	rep, err := buildReport(context.Background(), sess, opt, []string{"fig10"}, time.Now())
+	rep, err := buildReport(context.Background(), sess, opt, []string{"fig10"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +118,14 @@ func TestJSONReportSampling(t *testing.T) {
 	}
 }
 
-// TestJSONReportMultiContext pins the dvibench/v4 additions: the smt
+// TestJSONReportMultiContext pins the multi-context fields: the smt
 // figure's record carries per-context aggregates — the widest machine in
 // the grid and per-context committed/elimination sums — while
-// single-context figures omit the fields entirely, so v3 consumers that
-// ignore unknown fields keep working in exact mode.
+// single-context figures report zero contexts and empty lists.
 func TestJSONReportMultiContext(t *testing.T) {
 	opt := testOptions()
 	sess := harness.NewSession(opt, nil)
-	rep, err := buildReport(context.Background(), sess, opt, []string{"smt", "fig10"}, time.Now())
+	rep, err := buildReport(context.Background(), sess, opt, []string{"smt", "fig10"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +150,7 @@ func TestJSONReportMultiContext(t *testing.T) {
 		}
 	}
 	fig10 := byID["fig10"]
-	if fig10.MaxContexts != 0 || fig10.CtxCommitted != nil || fig10.CtxElim != nil {
+	if fig10.MaxContexts != 0 || len(fig10.CtxCommitted) != 0 || len(fig10.CtxElim) != 0 {
 		t.Errorf("single-context figure carries multi-context fields: %+v", fig10)
 	}
 	if _, err := json.Marshal(rep); err != nil {
@@ -190,7 +164,7 @@ func TestSamplingDefaultsInReport(t *testing.T) {
 	opt := testOptions()
 	opt.Sampling = &sample.Options{}
 	sess := harness.NewSession(opt, nil)
-	rep, err := buildReport(context.Background(), sess, opt, []string{"fig2"}, time.Now())
+	rep, err := buildReport(context.Background(), sess, opt, []string{"fig2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +173,13 @@ func TestSamplingDefaultsInReport(t *testing.T) {
 	}
 }
 
-// TestJSONReportInferredElim pins the dvibench/v5 additions: the infer
+// TestJSONReportInferredElim pins the inferred-flavour fields: the infer
 // figure's record carries the inferred-flavour elimination aggregates,
-// while figures that run no inferred builds omit the fields entirely, so
-// v4 consumers that ignore unknown fields keep working.
+// while figures that run no inferred builds report zeros.
 func TestJSONReportInferredElim(t *testing.T) {
 	opt := testOptions()
 	sess := harness.NewSession(opt, nil)
-	rep, err := buildReport(context.Background(), sess, opt, []string{"infer", "fig9"}, time.Now())
+	rep, err := buildReport(context.Background(), sess, opt, []string{"infer", "fig9"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +206,66 @@ func TestJSONReportInferredElim(t *testing.T) {
 	}
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("marshal: %v", err)
+	}
+}
+
+// TestJSONReportOneBatch pins -json as a renderer of the text report's
+// one batch. On a selection that includes fig5 and fig6, which renders
+// from fig5's grid, the document is byte-identical at one and eight
+// workers, exact and sampled, and every grid job runs once: fig6 does
+// not run fig5's sweep a second time.
+func TestJSONReportOneBatch(t *testing.T) {
+	saved := harness.Fig5Sizes
+	harness.Fig5Sizes = []int{34, 96}
+	defer func() { harness.Fig5Sizes = saved }()
+	ids := []string{"fig6", "fig5"}
+
+	for _, sampled := range []bool{false, true} {
+		opt := testOptions()
+		if sampled {
+			opt.SweepMaxInsts = 8_000
+			opt.Sampling = &sample.Options{Interval: 2000, Warmup: 500, Period: 2}
+		}
+		var docs [2]bytes.Buffer
+		for i, workers := range []int{1, 8} {
+			opt.Workers = workers
+			var mu sync.Mutex
+			runs := map[string]int{}
+			sess := harness.NewSession(opt, func(ev runner.Event) {
+				if ev.Phase == runner.JobDone {
+					mu.Lock()
+					runs[ev.Label]++
+					mu.Unlock()
+				}
+			})
+			if err := emitJSON(context.Background(), &docs[i], sess, opt, ids); err != nil {
+				t.Fatalf("sampled=%v workers=%d: %v", sampled, workers, err)
+			}
+			if sampled {
+				continue // the sampler's scan and interval jobs carry labels of their own
+			}
+			fig5, _ := harness.FigureByID("fig5")
+			jobs := fig5.Jobs(opt)
+			if len(runs) != len(jobs) {
+				t.Errorf("workers=%d: %d distinct jobs ran, fig5's grid has %d", workers, len(runs), len(jobs))
+			}
+			for _, j := range jobs {
+				if n := runs[j.Label]; n != 1 {
+					t.Errorf("workers=%d: %s ran %d times, want once", workers, j.Label, n)
+				}
+			}
+		}
+		var rep benchReport
+		if err := json.Unmarshal(docs[0].Bytes(), &rep); err != nil {
+			t.Fatalf("sampled=%v: decode: %v", sampled, err)
+		}
+		if fig5 := rep.Figures[0]; fig5.ID != "fig5" || (fig5.IntervalsMeasured > 0) != sampled {
+			t.Errorf("sampled=%v: first record %s measured %d intervals", sampled, fig5.ID, fig5.IntervalsMeasured)
+		}
+		if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
+			t.Errorf("sampled=%v: -json document differs between 1 and 8 workers:\n%s\n---\n%s",
+				sampled, docs[0].String(), docs[1].String())
+		}
 	}
 }
 

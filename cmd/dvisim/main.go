@@ -118,8 +118,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Contexts = *contexts
 	cfg.FetchPolicy = policy
 	cfg.Emu = session.EmuConfigFor(dviLevel, elim)
-	if err := cfg.CheckContexts(); err != nil {
-		return fail("%v (raise -regs: %d contexts need at least %d)", err, *contexts, 32**contexts+1)
+	if err := cfg.Check(); err != nil {
+		if need := 32**contexts + 1; *regs < need {
+			return fail("%v (raise -regs: %d contexts need at least %d)", err, *contexts, need)
+		}
+		return fail("%v", err)
 	}
 
 	var traceBuf *obs.PipeBuffer

@@ -98,11 +98,6 @@ type (
 	// ExperimentOptions scales the paper experiments; its Workers field
 	// bounds the experiment engine's worker pool.
 	ExperimentOptions = harness.Options
-	// ExperimentTable is one regenerated table or figure.
-	ExperimentTable = harness.Table
-	// ExperimentFigure is one declarative experiment: a job grid plus a
-	// renderer (see harness.Figures for the registry).
-	ExperimentFigure = harness.Figure
 
 	// Session is the orchestration layer: a long-lived, concurrency-safe
 	// handle owning one execution engine, its single-flight build cache,

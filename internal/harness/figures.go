@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -42,23 +41,11 @@ type Figure struct {
 // Figures returns every experiment in report order.
 func Figures() []Figure {
 	return []Figure{
-		{ID: "fig2", Title: "machine configuration table",
-			Render: func(Options, ResultSet) ([]Table, error) { return []Table{Fig2MachineConfig()}, nil }},
+		{ID: "fig2", Title: "machine configuration table", Render: one("fig2", fig2Build)},
 		{ID: "fig3", Title: "benchmark characterization", Jobs: fig3Jobs, Render: one("fig3", fig3Build)},
-		{ID: "fig5", Title: "IPC vs register file size sweep", Jobs: fig5Jobs,
-			Render: func(opt Options, rs ResultSet) ([]Table, error) {
-				t, _, err := fig5Build(opt, rs["fig5"])
-				return []Table{t}, err
-			}},
+		{ID: "fig5", Title: "IPC vs register file size sweep", Jobs: fig5Jobs, Render: one("fig5", fig5Build)},
 		{ID: "fig6", Title: "relative performance vs register file size", Needs: []string{"fig5"},
-			Render: func(opt Options, rs ResultSet) ([]Table, error) {
-				points, err := fig5Points(rs["fig5"])
-				if err != nil {
-					return nil, err
-				}
-				t, err := Fig6Performance(opt, points)
-				return []Table{t}, err
-			}},
+			Render: one("fig5", fig6Build)},
 		{ID: "fig9", Title: "dynamic saves/restores eliminated", Jobs: fig9Jobs, Render: one("fig9", fig9Build)},
 		{ID: "fig10", Title: "IPC speedups from save/restore elimination", Jobs: fig10Jobs, Render: one("fig10", fig10Build)},
 		{ID: "fig11", Title: "cache bandwidth sensitivity", Jobs: fig11Jobs, Render: one("fig11", fig11Build)},
@@ -73,7 +60,7 @@ func Figures() []Figure {
 }
 
 // one adapts a single-table builder to the Render signature, feeding it
-// the figure's own grid results.
+// the results of grid id (the figure's own, or the one it Needs).
 func one(id string, build func(Options, []runner.Result) (Table, error)) func(Options, ResultSet) ([]Table, error) {
 	return func(opt Options, rs ResultSet) ([]Table, error) {
 		t, err := build(opt, rs[id])
@@ -142,8 +129,8 @@ func funcJob(label string, s workload.Spec, opt Options, bopt workload.BuildOpti
 
 // --- Figure 2 ---
 
-// Fig2MachineConfig reproduces the machine configuration table.
-func Fig2MachineConfig() Table {
+// fig2Build reproduces the machine configuration table; it has no grid.
+func fig2Build(Options, []runner.Result) (Table, error) {
 	c := ooo.DefaultConfig()
 	h := c.Hierarchy
 	return Table{
@@ -162,7 +149,7 @@ func Fig2MachineConfig() Table {
 			{"Branch Predictor", "16-bit history gshare/bimod combining, BTB, RAS"},
 			{"Phys. Registers", fmt.Sprintf("%d (unconstrained; swept in fig5)", c.PhysRegs)},
 		},
-	}
+	}, nil
 }
 
 // --- Figure 3 ---
@@ -199,13 +186,10 @@ func fig3Build(opt Options, res []runner.Result) (Table, error) {
 	return t, nil
 }
 
-// Fig3Characterization reproduces the benchmark characterization table.
-func Fig3Characterization(opt Options) (Table, error) { return runOne("fig3", opt, fig3Build) }
-
 // --- Figures 5 and 6 ---
 
-// Fig5Point is one (size, level) IPC measurement.
-type Fig5Point struct {
+// fig5Point is one (size, level) IPC measurement.
+type fig5Point struct {
 	Regs  int
 	Level core.Level
 	IPC   float64 // unweighted mean over the suite
@@ -236,12 +220,12 @@ func fig5Jobs(opt Options) []runner.Job {
 
 // fig5Points reduces the sweep grid to per-(size, level) suite-mean IPC
 // points. Results arrive in fig5Jobs' declaration order.
-func fig5Points(res []runner.Result) ([]Fig5Point, error) {
+func fig5Points(res []runner.Result) ([]fig5Point, error) {
 	suite := workload.All()
 	if want := len(Fig5Sizes) * len(dviLevels) * len(suite); len(res) != want {
 		return nil, fmt.Errorf("fig5: %d results, want %d", len(res), want)
 	}
-	var points []Fig5Point
+	var points []fig5Point
 	idx := 0
 	for _, regs := range Fig5Sizes {
 		for _, level := range dviLevels {
@@ -250,15 +234,14 @@ func fig5Points(res []runner.Result) ([]Fig5Point, error) {
 				sum += res[idx].Timing.IPC()
 				idx++
 			}
-			points = append(points, Fig5Point{Regs: regs, Level: level, IPC: sum / float64(len(suite))})
+			points = append(points, fig5Point{Regs: regs, Level: level, IPC: sum / float64(len(suite))})
 		}
 	}
 	return points, nil
 }
 
-// fig5Build renders the sweep table and returns the raw points Figure 6
-// derives from.
-func fig5Build(opt Options, res []runner.Result) (Table, []Fig5Point, error) {
+// fig5Build renders the sweep table.
+func fig5Build(opt Options, res []runner.Result) (Table, error) {
 	t := Table{
 		ID:     "fig5",
 		Title:  "Average IPC vs physical register file size",
@@ -267,7 +250,7 @@ func fig5Build(opt Options, res []runner.Result) (Table, []Fig5Point, error) {
 	}
 	points, err := fig5Points(res)
 	if err != nil {
-		return t, nil, err
+		return t, err
 	}
 	ci := anySampled(res)
 	if ci {
@@ -286,27 +269,21 @@ func fig5Build(opt Options, res []runner.Result) (Table, []Fig5Point, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t, points, nil
+	return t, nil
 }
 
-// Fig5RegfileIPC sweeps physical register file sizes for the three DVI
-// levels and reports the suite-mean IPC.
-func Fig5RegfileIPC(opt Options) (Table, []Fig5Point, error) {
-	rs, err := CollectResults(context.Background(), NewSession(opt, nil), opt, []string{"fig5"})
-	if err != nil {
-		return Table{}, nil, err
-	}
-	return fig5Build(opt, rs["fig5"])
-}
-
-// Fig6Performance divides the Figure 5 IPC curves by the CACTI register
-// file access time and reports relative performance plus the peak
-// locations (the paper's 64-vs-50 result).
-func Fig6Performance(opt Options, points []Fig5Point) (Table, error) {
+// fig6Build divides the Figure 5 IPC curves by the CACTI register file
+// access time and reports relative performance plus the peak locations
+// (the paper's 64-vs-50 result). It renders from fig5's grid results.
+func fig6Build(opt Options, res []runner.Result) (Table, error) {
 	t := Table{
 		ID:     "fig6",
 		Title:  "Relative performance (IPC / register file access time) vs size",
 		Header: []string{"Regs", "No DVI", "I-DVI", "E-DVI and I-DVI"},
+	}
+	points, err := fig5Points(res)
+	if err != nil {
+		return t, err
 	}
 	model := cacti.Default()
 	width := ooo.DefaultConfig().IssueWidth
@@ -415,9 +392,6 @@ func fig9Build(opt Options, res []runner.Result) (Table, error) {
 	return t, nil
 }
 
-// Fig9Eliminated reports dynamic saves and restores eliminated.
-func Fig9Eliminated(opt Options) (Table, error) { return runOne("fig9", opt, fig9Build) }
-
 // --- Figure 10 ---
 
 // fig10Jobs declares, per benchmark, a no-DVI baseline and the two
@@ -461,9 +435,6 @@ func fig10Build(opt Options, res []runner.Result) (Table, error) {
 	}
 	return t, nil
 }
-
-// Fig10Speedups reports IPC gains from save/restore elimination.
-func Fig10Speedups(opt Options) (Table, error) { return runOne("fig10", opt, fig10Build) }
 
 // --- Figure 11 ---
 
@@ -527,9 +498,6 @@ func fig11Build(opt Options, res []runner.Result) (Table, error) {
 	return t, nil
 }
 
-// Fig11PortSensitivity reproduces the cache bandwidth sensitivity study.
-func Fig11PortSensitivity(opt Options) (Table, error) { return runOne("fig11", opt, fig11Build) }
-
 // --- Figure 12 ---
 
 // fig12Jobs declares, per benchmark, context-switch measurements with
@@ -581,9 +549,6 @@ func fig12Build(opt Options, res []runner.Result) (Table, error) {
 	t.Rows = append(t.Rows, []string{"average", pct(sumI / float64(n)), pct(sumF / float64(n)), ""})
 	return t, nil
 }
-
-// Fig12ContextSwitch reports context-switch save/restore reductions.
-func Fig12ContextSwitch(opt Options) (Table, error) { return runOne("fig12", opt, fig12Build) }
 
 // --- Figure 13 ---
 
@@ -641,9 +606,6 @@ func fig13Build(opt Options, res []runner.Result) (Table, error) {
 	t.Notes = append(t.Notes, "IPC counts original instructions only; kills are pure fetch/decode overhead (paper §3)")
 	return t, nil
 }
-
-// Fig13EDVIOverhead measures the cost of the kill annotations.
-func Fig13EDVIOverhead(opt Options) (Table, error) { return runOne("fig13", opt, fig13Build) }
 
 // --- smt (multi-context) ---
 
@@ -787,9 +749,6 @@ func smtBuild(opt Options, res []runner.Result) (Table, error) {
 	return t, nil
 }
 
-// SMTThroughput runs the multi-context study.
-func SMTThroughput(opt Options) (Table, error) { return runOne("smt", opt, smtBuild) }
-
 // --- ablations ---
 
 var ablationDepths = []int{1, 2, 4, 8, 16, 32, 64}
@@ -836,11 +795,6 @@ func ablationStackBuild(opt Options, res []runner.Result) (Table, error) {
 	return t, nil
 }
 
-// AblationStackDepth sweeps the LVM-Stack depth.
-func AblationStackDepth(opt Options) (Table, error) {
-	return runOne("ablation-stack", opt, ablationStackBuild)
-}
-
 var killPolicies = []rewrite.Policy{rewrite.KillsBeforeCalls, rewrite.KillsAtDeath}
 
 // ablationKillsJobs compares the two kill placement encodings per
@@ -879,11 +833,6 @@ func ablationKillsBuild(opt Options, res []runner.Result) (Table, error) {
 			pct(killFrac[0]), pct(killFrac[1]), pct(elimFrac[0]), pct(elimFrac[1])})
 	}
 	return t, nil
-}
-
-// AblationKillPlacement compares kill placement policies.
-func AblationKillPlacement(opt Options) (Table, error) {
-	return runOne("ablation-kills", opt, ablationKillsBuild)
 }
 
 var wrongPathBenchmarks = []string{"gcc", "li", "go"}
@@ -928,11 +877,6 @@ func ablationWrongPathBuild(opt Options, res []runner.Result) (Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
-}
-
-// AblationWrongPath measures the effect of wrong-path fetch modelling.
-func AblationWrongPath(opt Options) (Table, error) {
-	return runOne("ablation-wrongpath", opt, ablationWrongPathBuild)
 }
 
 // --- Inferred-annotation study ---
@@ -995,7 +939,3 @@ func inferBuild(opt Options, res []runner.Result) (Table, error) {
 	}
 	return t, nil
 }
-
-// InferredElimination compares the inference pass against the hand
-// annotations across the full suite.
-func InferredElimination(opt Options) (Table, error) { return runOne("infer", opt, inferBuild) }

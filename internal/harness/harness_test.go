@@ -8,12 +8,32 @@ import (
 	"testing"
 
 	"dvi/internal/core"
+	"dvi/internal/ooo"
+	"dvi/internal/runner"
 	"dvi/internal/workload"
 )
 
 // small returns options sized for unit testing (seconds, not minutes).
 func small() Options {
 	return Options{Scale: 1, MaxInsts: 50_000, SweepMaxInsts: 25_000}
+}
+
+// render runs the selected figures through Report on a fresh session
+// and returns their tables, one per figure, in registry order.
+func render(t *testing.T, opt Options, ids ...string) []Table {
+	t.Helper()
+	figs, _, err := Report(context.Background(), NewSession(opt, nil), opt, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tabs []Table
+	for _, f := range figs {
+		if len(f.Tables) != 1 {
+			t.Fatalf("%s rendered %d tables, want 1", f.ID, len(f.Tables))
+		}
+		tabs = append(tabs, f.Tables[0])
+	}
+	return tabs
 }
 
 func TestTableRendering(t *testing.T) {
@@ -33,8 +53,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig2Static(t *testing.T) {
-	tab := Fig2MachineConfig()
-	s := tab.String()
+	s := render(t, small(), "fig2")[0].String()
 	for _, want := range []string{"Issue Width", "64KB, 4-way", "512KB", "gshare/bimod"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("fig2 missing %q", want)
@@ -43,10 +62,7 @@ func TestFig2Static(t *testing.T) {
 }
 
 func TestFig3Shapes(t *testing.T) {
-	tab, err := Fig3Characterization(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, small(), "fig3")[0]
 	if len(tab.Rows) != 7 {
 		t.Fatalf("fig3 rows = %d, want 7", len(tab.Rows))
 	}
@@ -56,10 +72,7 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestFig9AverageAndOrdering(t *testing.T) {
-	tab, err := Fig9Eliminated(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, small(), "fig9")[0]
 	if len(tab.Rows) != 7 { // 6 benchmarks + average
 		t.Fatalf("fig9 rows = %d", len(tab.Rows))
 	}
@@ -85,10 +98,7 @@ func parsePct(t *testing.T, s string) float64 {
 }
 
 func TestFig12Reductions(t *testing.T) {
-	tab, err := Fig12ContextSwitch(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, small(), "fig12")[0]
 	if len(tab.Rows) != 7 {
 		t.Fatalf("fig12 rows = %d", len(tab.Rows))
 	}
@@ -113,15 +123,21 @@ func TestFig5And6SmallSweep(t *testing.T) {
 	Fig5Sizes = []int{34, 42, 58, 96}
 	defer func() { Fig5Sizes = saved }()
 
-	tab, points, err := Fig5RegfileIPC(small())
+	opt := small()
+	figs, rs, err := Report(context.Background(), NewSession(opt, nil), opt, []string{"fig5", "fig6"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, t6 := figs[0].Tables[0], figs[1].Tables[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// IPC must be non-decreasing-ish with file size for each level, and
 	// DVI must beat no-DVI at the smallest size.
+	points, err := fig5Points(rs["fig5"])
+	if err != nil {
+		t.Fatal(err)
+	}
 	byLevel := map[core.Level][]float64{}
 	for _, p := range points {
 		byLevel[p.Level] = append(byLevel[p.Level], p.IPC)
@@ -141,11 +157,6 @@ func TestFig5And6SmallSweep(t *testing.T) {
 		t.Errorf("no-DVI IPC at 34 regs (%.3f) too close to unconstrained (%.3f)",
 			noDVI[0], noDVI[len(noDVI)-1])
 	}
-
-	t6, err := Fig6Performance(small(), points)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(t6.Notes) < 2 {
 		t.Error("fig6 missing peak notes")
 	}
@@ -155,16 +166,10 @@ func TestFig10AndFig11(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing studies in -short mode")
 	}
-	t10, err := Fig10Speedups(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabs := render(t, small(), "fig10", "fig11")
+	t10, t11 := tabs[0], tabs[1]
 	if len(t10.Rows) != 6 {
 		t.Fatalf("fig10 rows = %d", len(t10.Rows))
-	}
-	t11, err := Fig11PortSensitivity(small())
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(t11.Rows) != 4 {
 		t.Fatalf("fig11 rows = %d", len(t11.Rows))
@@ -175,10 +180,7 @@ func TestFig13Overheads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing studies in -short mode")
 	}
-	tab, err := Fig13EDVIOverhead(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, small(), "fig13")[0]
 	for _, row := range tab.Rows {
 		dyn := parsePct(t, row[1])
 		if dyn < 0 || dyn > 15 {
@@ -191,10 +193,8 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations in -short mode")
 	}
-	stack, err := AblationStackDepth(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabs := render(t, small(), "ablation-stack", "ablation-kills")
+	stack, kills := tabs[0], tabs[1]
 	for _, row := range stack.Rows {
 		// Depth 64 is the normalization target: the last column is 100%.
 		if row[len(row)-1] != "100.0%" {
@@ -210,10 +210,6 @@ func TestAblations(t *testing.T) {
 			}
 			prev = v
 		}
-	}
-	kills, err := AblationKillPlacement(small())
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, row := range kills.Rows {
 		ck := parsePct(t, row[1])
@@ -240,10 +236,7 @@ func TestSMTFigure(t *testing.T) {
 
 	opt := small()
 	opt.Workers = 1
-	tab, err := SMTThroughput(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, opt, "smt")[0]
 	// n=1 runs one policy; n=2 and n=4 run both.
 	if len(tab.Rows) != 5 {
 		t.Fatalf("smt rows = %d, want 5", len(tab.Rows))
@@ -271,11 +264,7 @@ func TestSMTFigure(t *testing.T) {
 	}
 
 	opt.Workers = 8
-	tab8, err := SMTThroughput(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.String() != tab8.String() {
+	if tab8 := render(t, opt, "smt")[0]; tab.String() != tab8.String() {
 		t.Errorf("smt table differs between -j1 and -j8:\n%s\n---\n%s", tab, tab8)
 	}
 }
@@ -359,10 +348,7 @@ func TestRunFiguresSubsetAndUnknown(t *testing.T) {
 }
 
 func TestInferFigure(t *testing.T) {
-	tab, err := InferredElimination(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, small(), "infer")[0]
 	if len(tab.Rows) != 8 { // 7 benchmarks + average
 		t.Fatalf("infer rows = %d", len(tab.Rows))
 	}
@@ -386,6 +372,29 @@ func TestInferFigure(t *testing.T) {
 		for _, col := range []int{3, 4} {
 			if v := parsePct(t, row[col]); v < 0 || v > 100 {
 				t.Errorf("%s: elimination fraction %q out of range", row[0], row[col])
+			}
+		}
+	}
+}
+
+// TestFigureGridsPassCheck runs every job of every figure's grid through
+// the machine range table the front doors enforce (ooo.Config.Check):
+// the ranges must admit every machine the figures build. Functional jobs
+// contribute their emulator configuration (the LVM-Stack depth sweep).
+func TestFigureGridsPassCheck(t *testing.T) {
+	opt := DefaultOptions()
+	for _, fig := range Figures() {
+		if fig.Jobs == nil {
+			continue
+		}
+		for _, j := range fig.Jobs(opt) {
+			cfg := j.Machine
+			if j.Kind != runner.Timing {
+				cfg = ooo.DefaultConfig()
+				cfg.Emu = j.Emu
+			}
+			if err := cfg.Check(); err != nil {
+				t.Errorf("%s: %v", j.Label, err)
 			}
 		}
 	}

@@ -81,30 +81,49 @@ func CollectResults(ctx context.Context, sess *session.Session, opt Options, ids
 	return rs, nil
 }
 
-// RunFigures runs the selected figures through one shared session and
-// writes their tables to w in registry order (selection order does not
-// affect the report). Any job or render error aborts the whole run.
-func RunFigures(ctx context.Context, sess *session.Session, opt Options, ids []string, w io.Writer) error {
-	selected := map[string]bool{}
-	for _, id := range ids {
-		if _, ok := FigureByID(id); !ok {
-			return fmt.Errorf("harness: unknown figure %q (have %v)", id, FigureIDs())
-		}
-		selected[id] = true
-	}
+// Rendered is one selected figure's tables.
+type Rendered struct {
+	Figure
+	Tables []Table
+}
+
+// Report runs the selected figures through sess as one batch (their
+// grids and the grids their Needs name, each collected once) and renders
+// each selected figure in registry order; selection order does not affect
+// the result. It also returns the batch's results keyed by figure ID. Any
+// job or render error aborts the whole run.
+func Report(ctx context.Context, sess *session.Session, opt Options, ids []string) ([]Rendered, ResultSet, error) {
 	rs, err := CollectResults(ctx, sess, opt, ids)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	selected := map[string]bool{}
+	for _, id := range ids {
+		selected[id] = true
+	}
+	var out []Rendered
 	for _, fig := range Figures() {
 		if !selected[fig.ID] {
 			continue
 		}
 		tables, err := fig.Render(opt, rs)
 		if err != nil {
-			return fmt.Errorf("%s: %w", fig.ID, err)
+			return nil, nil, fmt.Errorf("%s: %w", fig.ID, err)
 		}
-		for _, t := range tables {
+		out = append(out, Rendered{fig, tables})
+	}
+	return out, rs, nil
+}
+
+// RunFigures runs the selected figures through one shared session and
+// writes their tables to w in registry order.
+func RunFigures(ctx context.Context, sess *session.Session, opt Options, ids []string, w io.Writer) error {
+	figs, _, err := Report(ctx, sess, opt, ids)
+	if err != nil {
+		return err
+	}
+	for _, f := range figs {
+		for _, t := range f.Tables {
 			fmt.Fprintln(w, t)
 		}
 	}
@@ -116,15 +135,4 @@ func RunFigures(ctx context.Context, sess *session.Session, opt Options, ids []s
 // bytes are identical at any worker count.
 func RunAll(opt Options, w io.Writer) error {
 	return RunFigures(context.Background(), NewSession(opt, nil), opt, ReportIDs(), w)
-}
-
-// runOne executes a single figure's grid on a fresh session and renders
-// its table — the implementation behind the exported per-figure
-// convenience functions.
-func runOne(id string, opt Options, build func(Options, []runner.Result) (Table, error)) (Table, error) {
-	rs, err := CollectResults(context.Background(), NewSession(opt, nil), opt, []string{id})
-	if err != nil {
-		return Table{}, err
-	}
-	return build(opt, rs[id])
 }

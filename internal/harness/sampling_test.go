@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -17,15 +16,7 @@ func TestSampledReportAddsCIColumn(t *testing.T) {
 	opt.MaxInsts = 120_000
 	opt.Sampling = &sample.Options{Interval: 4000, Warmup: 1000, Period: 4}
 
-	sess := NewSession(opt, nil)
-	rs, err := CollectResults(context.Background(), sess, opt, []string{"fig10"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := fig10Build(opt, rs["fig10"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := render(t, opt, "fig10")[0]
 	if tbl.Header[len(tbl.Header)-1] != "±CI" {
 		t.Errorf("sampled fig10 header %v lacks the ±CI column", tbl.Header)
 	}
@@ -40,15 +31,7 @@ func TestSampledReportAddsCIColumn(t *testing.T) {
 
 	exact := opt
 	exact.Sampling = nil
-	ers, err := CollectResults(context.Background(), NewSession(exact, nil), exact, []string{"fig10"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	etbl, err := fig10Build(exact, ers["fig10"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(etbl.String(), "CI") {
+	if etbl := render(t, exact, "fig10")[0]; strings.Contains(etbl.String(), "CI") {
 		t.Errorf("exact fig10 output mentions CI:\n%s", etbl)
 	}
 }

@@ -48,7 +48,7 @@ type Config struct {
 	// (0 or 1 = the single-context machine). Each context runs its own
 	// copy of the program in its own address space and rename map; the
 	// window, physical register file, caches and predictor are shared.
-	// PhysRegs must be at least Contexts*32+1 (CheckContexts).
+	// PhysRegs must be at least Contexts*32+1 (Check).
 	Contexts int
 	// FetchPolicy arbitrates fetch among contexts (Contexts > 1 only).
 	FetchPolicy FetchPolicy
@@ -121,19 +121,47 @@ func (c Config) ContextCount() int {
 	return c.Contexts
 }
 
-// CheckContexts validates the context configuration: a front door (CLI,
-// service, session) calls it to reject impossible machines with an error
-// instead of letting Machine construction panic. Each context pins 32
-// physical registers for its architectural state, so PhysRegs must leave
-// at least one register to rename.
-func (c Config) CheckContexts() error {
-	if c.Contexts < 0 {
-		return fmt.Errorf("ooo: contexts %d < 0", c.Contexts)
+// limits is the one table of machine ranges: every Config field a wire
+// request or a session option can set, by its wire name, with the
+// inclusive range Check admits. The ranges admit every machine the
+// figures, the CLIs and the benchmarks build; the caps keep one request
+// from sizing the window, the fetch queues or the completion times far
+// beyond what the simulator is tested at.
+var limits = []struct {
+	name   string
+	field  func(*Config) int
+	lo, hi int
+}{
+	{"issue_width", func(c *Config) int { return c.IssueWidth }, 1, 64},
+	{"window_size", func(c *Config) int { return c.WindowSize }, 1, 1024},
+	{"ifq_size", func(c *Config) int { return c.IFQSize }, 1, 1024},
+	{"int_alus", func(c *Config) int { return c.IntALUs }, 1, 64},
+	{"int_muldiv", func(c *Config) int { return c.IntMulDiv }, 1, 64},
+	{"cache_ports", func(c *Config) int { return c.CachePorts }, 1, 64},
+	{"mul_latency", func(c *Config) int { return c.MulLatency }, 0, 1024},
+	{"div_latency", func(c *Config) int { return c.DivLatency }, 0, 1024},
+	{"stack_depth", func(c *Config) int { return c.Emu.DVI.StackDepth }, 0, core.MaxStackDepth},
+	// Each context pins NumArch physical registers, so MaxPhys bounds
+	// the contexts too.
+	{"contexts", func(c *Config) int { return c.Contexts }, 0, (rename.MaxPhys - 1) / rename.NumArch},
+}
+
+// Check validates the machine against the range table: a front door
+// (CLI, service, session, engine) calls it to reject an impossible
+// machine with an error that names the field, instead of letting Machine
+// construction panic, allocate without bound or deadlock. PhysRegs must
+// leave at least one register to rename once each context has pinned its
+// architectural state.
+func (c Config) Check() error {
+	for _, l := range limits {
+		if v := l.field(&c); v < l.lo || v > l.hi {
+			return fmt.Errorf("ooo: %s %d out of range [%d, %d]", l.name, v, l.lo, l.hi)
+		}
 	}
 	n := c.ContextCount()
-	if need := n*rename.NumArch + 1; c.PhysRegs < need {
-		return fmt.Errorf("ooo: %d contexts need at least %d physical registers, have %d",
-			n, need, c.PhysRegs)
+	if lo := n*rename.NumArch + 1; c.PhysRegs < lo || c.PhysRegs > rename.MaxPhys {
+		return fmt.Errorf("ooo: phys_regs %d out of range [%d, %d] for %d contexts",
+			c.PhysRegs, lo, rename.MaxPhys, n)
 	}
 	return nil
 }
@@ -180,6 +208,29 @@ type Stats struct {
 	L1I, L1D, L2 cache.Stats
 
 	Emu emu.Stats // architectural counts from the embedded emulator
+}
+
+// addCounters adds o's additive event counters to s: every field but
+// the machine-level Cycles, MaxPhysInUse and cache and emulator stats.
+func (s *Stats) addCounters(o *Stats) {
+	s.Fetched += o.Fetched
+	s.Dispatched += o.Dispatched
+	s.WrongPath += o.WrongPath
+	s.Committed += o.Committed
+	s.KillsSeen += o.KillsSeen
+	s.ElimSaves += o.ElimSaves
+	s.ElimRests += o.ElimRests
+	s.Mispredicts += o.Mispredicts
+	s.Recoveries += o.Recoveries
+	s.RenameStallCycles += o.RenameStallCycles
+	s.WindowFullCycles += o.WindowFullCycles
+	s.PortStallCycles += o.PortStallCycles
+	s.LoadsIssued += o.LoadsIssued
+	s.StoresCommit += o.StoresCommit
+	s.LoadForwarded += o.LoadForwarded
+	s.WrongPathLoads += o.WrongPathLoads
+	s.EarlyReclaimed += o.EarlyReclaimed
+	s.Faults += o.Faults
 }
 
 // addEmu accumulates architectural counts from one context's emulator

@@ -210,10 +210,11 @@ type hwContext struct {
 	dispatchHalted bool // correct-path HALT reached; drain and finish
 	winCount       int  // live (non-squashed) window entries owned by this context
 
-	// stats is this context's view of the run. Additive fields (fetch,
-	// dispatch, commit, elimination, stall and memory counts) sum to the
-	// aggregate Machine.Stats across contexts; shared-structure fields
-	// (Cycles, MaxPhysInUse, cache stats) are copies of the aggregate.
+	// stats is this context's view of the run. Its additive fields
+	// (fetch, dispatch, commit, elimination, stall and memory counts) are
+	// the only place an event is counted; the aggregate Machine.Stats is
+	// their sum across contexts. Shared-structure fields (Cycles,
+	// MaxPhysInUse, cache stats) are copies of the aggregate.
 	stats Stats
 }
 
@@ -427,7 +428,7 @@ func (m *Machine) inWindow(slot int) bool {
 
 // done reports whether simulation has finished.
 func (m *Machine) done() bool {
-	if m.cfg.MaxInsts != 0 && m.Stats.Committed >= m.cfg.MaxInsts {
+	if m.cfg.MaxInsts != 0 && m.committed() >= m.cfg.MaxInsts {
 		return true
 	}
 	if m.robLen != 0 {
@@ -445,10 +446,33 @@ func (m *Machine) done() bool {
 // property).
 var ErrDeadlock = fmt.Errorf("ooo: pipeline deadlock")
 
-// finalize fills the end-of-run fields: each context's shared-structure
-// copies and emulator stats, the aggregate's summed emulator stats, and
-// the shared cache hierarchy counters.
+// committed is the run's committed original-instruction count, summed
+// over the contexts.
+func (m *Machine) committed() uint64 {
+	var n uint64
+	for i := range m.ctxs {
+		n += m.ctxs[i].stats.Committed
+	}
+	return n
+}
+
+// sumContexts sets the aggregate's additive counters to their sum over
+// the contexts, which count each event once. Cycles, MaxPhysInUse and
+// the cache and emulator stats are left as they are.
+func (m *Machine) sumContexts() {
+	sum := Stats{Cycles: m.Stats.Cycles, MaxPhysInUse: m.Stats.MaxPhysInUse,
+		L1I: m.Stats.L1I, L1D: m.Stats.L1D, L2: m.Stats.L2, Emu: m.Stats.Emu}
+	for i := range m.ctxs {
+		sum.addCounters(&m.ctxs[i].stats)
+	}
+	m.Stats = sum
+}
+
+// finalize fills the end-of-run fields: the aggregate's additive counters
+// and summed emulator stats, the shared cache hierarchy counters, and
+// each context's shared-structure copies and emulator stats.
 func (m *Machine) finalize() {
+	m.sumContexts()
 	m.Stats.L1I = m.hier.L1I.Stats
 	m.Stats.L1D = m.hier.L1D.Stats
 	m.Stats.L2 = m.hier.L2.Stats
@@ -471,15 +495,16 @@ func (m *Machine) Run() (Stats, error) {
 	lastCommitted := uint64(0)
 	for !m.done() {
 		m.step()
-		if m.Stats.Committed == lastCommitted {
+		if n := m.committed(); n == lastCommitted {
 			idleCycles++
 			if idleCycles > 100000 {
+				m.sumContexts()
 				return m.Stats, fmt.Errorf("%w at cycle %d (pc %#x, rob %d, free %d)",
 					ErrDeadlock, m.cycle, m.ctxs[0].fetchPC, m.robLen, m.rt.FreeCount())
 			}
 		} else {
 			idleCycles = 0
-			lastCommitted = m.Stats.Committed
+			lastCommitted = n
 		}
 	}
 	if m.trace != nil {
@@ -671,7 +696,6 @@ func (m *Machine) fetchGroup(c *hwContext) {
 		}
 
 		c.ifqLen++
-		m.Stats.Fetched++
 		c.stats.Fetched++
 		c.fetchPC = rec.predNPC
 		if taken {
@@ -729,8 +753,6 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 				c.popIFQ()
 				st := c.emu.Step()
 				m.assertStep(rec, st, true)
-				m.Stats.ElimSaves++
-				m.Stats.Committed++
 				c.stats.ElimSaves++
 				c.stats.Committed++
 				if m.trace != nil {
@@ -744,8 +766,6 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 				c.popIFQ()
 				st := c.emu.Step()
 				m.assertStep(rec, st, true)
-				m.Stats.ElimRests++
-				m.Stats.Committed++
 				c.stats.ElimRests++
 				c.stats.Committed++
 				if m.trace != nil {
@@ -777,7 +797,6 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 			}
 			st := c.emu.Step()
 			m.assertStep(rec, st, false)
-			m.Stats.KillsSeen++
 			c.stats.KillsSeen++
 			victims := uint8(0)
 			for k := uint32(st.Killed); k != 0; k &= k - 1 {
@@ -792,7 +811,6 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 					// No in-flight instruction of this context: the kill
 					// is trivially non-speculative; reclaim now.
 					m.rt.Free(victim)
-					m.Stats.EarlyReclaimed++
 					c.stats.EarlyReclaimed++
 				}
 			}
@@ -805,13 +823,11 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 
 		// Window slot required for everything else.
 		if m.robLen == len(m.rob) {
-			m.Stats.WindowFullCycles++
 			c.stats.WindowFullCycles++
 			return false
 		}
 		// Physical register required for destinations.
 		if rec.meta.HasDest && m.rt.FreeCount() == 0 {
-			m.Stats.RenameStallCycles++
 			c.stats.RenameStallCycles++
 			return false
 		}
@@ -871,7 +887,6 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 				if rec.faulted {
 					// Synthetic HALT: correct-path control flow left the
 					// text segment. Halt as before, but report it.
-					m.Stats.Faults++
 					c.stats.Faults++
 				}
 				c.dispatchHalted = true
@@ -886,7 +901,6 @@ func (m *Machine) dispatchCtx(c *hwContext, n *int) bool {
 		c.popIFQ()
 		m.robLen++
 		c.winCount++
-		m.Stats.Dispatched++
 		c.stats.Dispatched++
 		*n++
 	}
@@ -990,7 +1004,6 @@ func (m *Machine) dispatchCorrect(c *hwContext, e *robEntry, rec *fetchRec) {
 // execution. Its DVI decode effects are skipped (equivalent to perfect
 // checkpoint recovery of the LVM structures, see DESIGN.md).
 func (m *Machine) dispatchWrongPath(c *hwContext, e *robEntry, rec *fetchRec) {
-	m.Stats.WrongPath++
 	c.stats.WrongPath++
 	e.wrongPath = true
 	in := e.inst
@@ -1053,8 +1066,6 @@ func (m *Machine) resolveControl(e *robEntry, idx int) {
 		panic("ooo: recovering a branch that is not the pending misprediction")
 	}
 
-	m.Stats.Mispredicts++
-	m.Stats.Recoveries++
 	c.stats.Mispredicts++
 	c.stats.Recoveries++
 
@@ -1158,12 +1169,10 @@ func (m *Machine) commit() {
 		c := &m.ctxs[e.ctx]
 		if e.isStore {
 			if m.portUsed >= m.cfg.CachePorts {
-				m.Stats.PortStallCycles++
 				c.stats.PortStallCycles++
 				return
 			}
 			m.portUsed++
-			m.Stats.StoresCommit++
 			c.stats.StoresCommit++
 			m.hier.L1D.Access(e.addr, true)
 		}
@@ -1172,10 +1181,8 @@ func (m *Machine) commit() {
 		}
 		for _, v := range e.killVictims {
 			m.rt.Free(v)
-			m.Stats.EarlyReclaimed++
 			c.stats.EarlyReclaimed++
 		}
-		m.Stats.Committed++
 		c.stats.Committed++
 		if m.trace != nil {
 			m.emitRob(e, obs.SquashNone)

@@ -22,7 +22,7 @@ func (m *Machine) runPolled() (Stats, error) {
 	lastCommitted := uint64(0)
 	for !m.done() {
 		m.stepPolled()
-		if m.Stats.Committed == lastCommitted {
+		if n := m.committed(); n == lastCommitted {
 			idleCycles++
 			if idleCycles > 100000 {
 				return m.Stats, fmt.Errorf("%w at cycle %d (pc %#x, rob %d, free %d)",
@@ -30,7 +30,7 @@ func (m *Machine) runPolled() (Stats, error) {
 			}
 		} else {
 			idleCycles = 0
-			lastCommitted = m.Stats.Committed
+			lastCommitted = n
 		}
 	}
 	if m.trace != nil {
@@ -102,7 +102,6 @@ func (m *Machine) issuePolled() {
 				}
 				m.portUsed++
 				m.issued++
-				m.Stats.WrongPathLoads++
 				m.ctxs[e.ctx].stats.WrongPathLoads++
 				e.st = stIssued
 				e.issueCycle = m.cycle
@@ -116,7 +115,6 @@ func (m *Machine) issuePolled() {
 				}
 				// Store-to-load forwarding: one cycle, no cache port.
 				m.issued++
-				m.Stats.LoadForwarded++
 				m.ctxs[e.ctx].stats.LoadForwarded++
 				e.st = stIssued
 				e.issueCycle = m.cycle
@@ -128,7 +126,6 @@ func (m *Machine) issuePolled() {
 			}
 			m.portUsed++
 			m.issued++
-			m.Stats.LoadsIssued++
 			m.ctxs[e.ctx].stats.LoadsIssued++
 			lat := m.hier.L1D.Access(e.addr, false)
 			e.st = stIssued

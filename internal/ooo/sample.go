@@ -36,7 +36,7 @@ type WarmState struct {
 // multi-context machine (the front doors validate the combination and
 // return an error before any machine is built).
 func (m *Machine) Boot(arch *emu.Snapshot, warm *WarmState) {
-	if m.cycle != 0 || m.Stats.Committed != 0 {
+	if m.cycle != 0 {
 		panic("ooo: Boot on a machine that already ran; Reset first")
 	}
 	if len(m.ctxs) != 1 {
@@ -67,20 +67,22 @@ func (m *Machine) Boot(arch *emu.Snapshot, warm *WarmState) {
 func (m *Machine) RunUntil(target uint64) (Stats, error) {
 	c := &m.ctxs[0]
 	idleCycles := 0
-	lastCommitted := m.Stats.Committed
-	for !(c.dispatchHalted && m.robLen == 0) && m.Stats.Committed < target {
+	lastCommitted := m.committed()
+	for !(c.dispatchHalted && m.robLen == 0) && m.committed() < target {
 		m.step()
-		if m.Stats.Committed == lastCommitted {
+		if n := m.committed(); n == lastCommitted {
 			idleCycles++
 			if idleCycles > 100000 {
+				m.sumContexts()
 				return m.Stats, fmt.Errorf("%w at cycle %d (pc %#x, rob %d, free %d)",
 					ErrDeadlock, m.cycle, c.fetchPC, m.robLen, m.rt.FreeCount())
 			}
 		} else {
 			idleCycles = 0
-			lastCommitted = m.Stats.Committed
+			lastCommitted = n
 		}
 	}
+	m.sumContexts()
 	m.Stats.Emu = c.emu.Stats
 	return m.Stats, nil
 }

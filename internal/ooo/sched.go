@@ -295,7 +295,6 @@ func (m *Machine) tryIssue(slot int) {
 			}
 			m.portUsed++
 			m.issued++
-			m.Stats.WrongPathLoads++
 			m.ctxs[e.ctx].stats.WrongPathLoads++
 			e.st = stIssued
 			e.issueCycle = m.cycle
@@ -311,7 +310,6 @@ func (m *Machine) tryIssue(slot int) {
 			}
 			// Store-to-load forwarding: one cycle, no cache port.
 			m.issued++
-			m.Stats.LoadForwarded++
 			m.ctxs[e.ctx].stats.LoadForwarded++
 			e.st = stIssued
 			e.issueCycle = m.cycle
@@ -325,7 +323,6 @@ func (m *Machine) tryIssue(slot int) {
 		}
 		m.portUsed++
 		m.issued++
-		m.Stats.LoadsIssued++
 		m.ctxs[e.ctx].stats.LoadsIssued++
 		lat := m.hier.L1D.Access(e.addr, false)
 		e.st = stIssued

@@ -428,19 +428,19 @@ func TestContextsExceedL1IAssoc(t *testing.T) {
 // TestCheckContexts covers the front-door validation.
 func TestCheckContexts(t *testing.T) {
 	cfg := DefaultConfig()
-	if err := cfg.CheckContexts(); err != nil {
+	if err := cfg.Check(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
 	cfg.Contexts = -1
-	if err := cfg.CheckContexts(); err == nil {
+	if err := cfg.Check(); err == nil {
 		t.Fatal("negative contexts accepted")
 	}
 	cfg.Contexts = 4 // 4*32+1 = 129 > default 96 registers
-	if err := cfg.CheckContexts(); err == nil {
+	if err := cfg.Check(); err == nil {
 		t.Fatal("4 contexts on 96 registers accepted")
 	}
 	cfg.PhysRegs = 192
-	if err := cfg.CheckContexts(); err != nil {
+	if err := cfg.Check(); err != nil {
 		t.Fatalf("4 contexts on 192 registers rejected: %v", err)
 	}
 }

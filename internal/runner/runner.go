@@ -448,7 +448,7 @@ func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (Re
 	defer kspan.End()
 	switch j.Kind {
 	case Timing:
-		if err := j.Machine.CheckContexts(); err != nil {
+		if err := j.Machine.Check(); err != nil {
 			return res, err
 		}
 		m := e.getMachine(pr, img, j.Machine)

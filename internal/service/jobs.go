@@ -202,7 +202,7 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError
 	}
 	cfg.Contexts = req.Contexts
 	cfg.FetchPolicy = fp
-	if err := cfg.CheckContexts(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
 	if cfg.ContextCount() > 1 && req.Sampling != nil {

@@ -120,7 +120,7 @@ func (s *Session) Build(ctx context.Context, w workload.Spec, opts ...RunOption)
 func (s *Session) Simulate(ctx context.Context, w workload.Spec, opts ...RunOption) (ooo.Stats, error) {
 	rs := resolve(opts)
 	cfg := rs.machineConfig()
-	if err := cfg.CheckContexts(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return ooo.Stats{}, err
 	}
 	if rs.sampling != nil {
@@ -157,7 +157,7 @@ func (s *Session) Simulate(ctx context.Context, w workload.Spec, opts ...RunOpti
 func (s *Session) SimulateContexts(ctx context.Context, w workload.Spec, opts ...RunOption) (ooo.Stats, []ooo.Stats, error) {
 	rs := resolve(opts)
 	cfg := rs.machineConfig()
-	if err := cfg.CheckContexts(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return ooo.Stats{}, nil, err
 	}
 	if rs.sampling != nil {
