@@ -97,6 +97,12 @@ func TestFacadeSimulateSampled(t *testing.T) {
 		t.Errorf("sampler simulated %d of %d instructions in detail — no savings",
 			est.DetailedInsts, est.TotalInsts)
 	}
+	// Sampling is single-context: a 2-context machine is an error, not a
+	// panic in a worker.
+	cfg.Contexts = 2
+	if _, err := dvi.SimulateSampled(w, 1, cfg, dvi.SamplingOptions{}); err == nil {
+		t.Error("SimulateSampled accepted a 2-context machine")
+	}
 }
 
 func TestFacadeEmulate(t *testing.T) {

@@ -55,8 +55,8 @@ func schedFuzzConfigs() []Config {
 	out = append(out, narrow)
 	// Windows larger than 64 entries: the ready bitset spans multiple
 	// words, exercising issueRange's word-boundary masks and the
-	// two-range wrap walk (the service wire API lets clients configure
-	// any window size).
+	// two-range wrap walk (wire clients may configure any window up to
+	// Check's cap of 1024 entries).
 	for _, ws := range []int{65, 200} {
 		big := DefaultConfig()
 		big.WindowSize = ws
@@ -131,7 +131,7 @@ func TestSchedulerDifferentialWorkloads(t *testing.T) {
 // corpus never reaches, at one and two contexts: a zero-latency multiply
 // is due in the cycle it issues, and one longer than the completion
 // wheel's horizon parks in its slot for a turn (wire clients may set
-// mul_latency to any positive value).
+// mul_latency anywhere in Check's range, 0 to 1024).
 func TestSchedulerDifferentialLatencyExtremes(t *testing.T) {
 	seeds := 8
 	if testing.Short() {

@@ -493,6 +493,12 @@ func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (Re
 		if j.Sample == nil {
 			return res, fmt.Errorf("runner: SampledInterval job without a checkpoint")
 		}
+		if err := j.Machine.Check(); err != nil {
+			return res, err
+		}
+		if n := j.Machine.ContextCount(); n > 1 {
+			return res, fmt.Errorf("runner: sampled interval on a %d-context machine; sampling is single-context", n)
+		}
 		m := e.getMachine(pr, img, j.Machine)
 		iv, err := sample.RunInterval(m, j.Sample)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"dvi/internal/emu"
 	"dvi/internal/ooo"
 	"dvi/internal/prog"
+	"dvi/internal/sample"
 	"dvi/internal/workload"
 )
 
@@ -238,5 +240,30 @@ func TestTimingJobCarriesMachine(t *testing.T) {
 	}
 	if res[0].Image == nil || res[0].Image.TextWords() == 0 {
 		t.Error("timing result missing image")
+	}
+}
+
+// TestSampledIntervalChecksMachine pins that an interval job on a machine
+// the sampler cannot run answers an error instead of panicking in a
+// worker: two contexts used to reach Boot's single-context panic, a
+// negative window makeslice's.
+func TestSampledIntervalChecksMachine(t *testing.T) {
+	eng := New(Options{Workers: 1})
+	li, _ := workload.ByName("li")
+	smt := ooo.DefaultConfig()
+	smt.Contexts = 2
+	neg := ooo.DefaultConfig()
+	neg.WindowSize = -1
+	for _, tc := range []struct {
+		cfg  ooo.Config
+		want string
+	}{{smt, "single-context"}, {neg, "window_size"}} {
+		_, err := eng.Run(context.Background(), []Job{{
+			Workload: li, Scale: 1, Kind: SampledInterval, Machine: tc.cfg,
+			Sample: &sample.Checkpoint{MeasureLen: 1},
+		}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want one naming %q", err, tc.want)
+		}
 	}
 }

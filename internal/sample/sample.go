@@ -15,10 +15,21 @@
 // Only the cycle count, and therefore IPC, is estimated from the sampled
 // intervals, and it carries the reported confidence interval.
 //
+// Scan groups: a scan reads only the binary, the emulator configuration,
+// the cache hierarchy and predictor it warms, and the instruction cap
+// (Scanner.Scan takes nothing else). Timing runs that agree on these and
+// differ only in detail-only parameters — the physical registers, widths,
+// window and ports the register-file and bandwidth sweeps vary — form one
+// scan group: the session scans the program once per round for the whole
+// group, and every member's intervals boot from the same read-only
+// checkpoints. Densification keeps a group together: the members still
+// short of their target after a round have measured the same intervals
+// under the same period, so they share the next round's scan too.
+//
 // Determinism: interval selection is a pure function of (interval size,
 // period, seed), the scan is single-threaded, and aggregation folds
 // per-interval results in interval order — so a fixed plan yields
-// bit-identical estimates at any worker count.
+// bit-identical estimates at any worker count, alone or in a group.
 package sample
 
 import (
@@ -183,8 +194,8 @@ type ScanResult struct {
 
 // Scanner drives functional fast-forward passes. It owns the warming
 // structures (cache hierarchy, predictor, BTB, RAS) and reuses them
-// across scans of the same machine configuration; it is not safe for
-// concurrent use.
+// across scans with the same hierarchy and predictor configurations; it
+// is not safe for concurrent use.
 type Scanner struct {
 	hier *cache.Hierarchy
 	pred *bpred.Predictor
@@ -198,18 +209,18 @@ type Scanner struct {
 // first use.
 func NewScanner() *Scanner { return &Scanner{} }
 
-func (s *Scanner) ensure(mcfg ooo.Config) {
-	if s.hier == nil || s.hcfg != mcfg.Hierarchy {
-		s.hier = cache.NewHierarchy(mcfg.Hierarchy)
-		s.hcfg = mcfg.Hierarchy
+func (s *Scanner) ensure(hier cache.HierarchyConfig, pred bpred.Config) {
+	if s.hier == nil || s.hcfg != hier {
+		s.hier = cache.NewHierarchy(hier)
+		s.hcfg = hier
 	} else {
 		s.hier.Reset()
 	}
-	if s.pred == nil || s.pcfg != mcfg.Pred {
-		s.pred = bpred.New(mcfg.Pred)
-		s.btb = bpred.NewBTB(mcfg.Pred.BTBSets, mcfg.Pred.BTBAssoc)
-		s.ras = bpred.NewRAS(mcfg.Pred.RASDepth)
-		s.pcfg = mcfg.Pred
+	if s.pred == nil || s.pcfg != pred {
+		s.pred = bpred.New(pred)
+		s.btb = bpred.NewBTB(pred.BTBSets, pred.BTBAssoc)
+		s.ras = bpred.NewRAS(pred.RASDepth)
+		s.pcfg = pred
 	} else {
 		s.pred.Reset()
 		s.btb.Reset()
@@ -260,17 +271,18 @@ func (s *Scanner) warm(st emu.Step) {
 
 // Scan runs the functional pass: e (freshly reset at program start, with
 // the machine's emulator configuration) executes to completion or the
-// MaxInsts cap, the warming structures track the architectural stream,
-// and a checkpoint is captured Warmup instructions ahead of every
-// interval selected by want and not skipped via skip (already-measured
-// intervals on adaptive re-scans). base is the pristine loaded image
+// MaxInsts cap, warming structures built to hier and pred track the
+// architectural stream, and a checkpoint is captured Warmup instructions
+// ahead of every interval want selects (on adaptive re-scans want skips
+// the intervals already measured). base is the pristine loaded image
 // memory snapshots are deltas against; acquire supplies (pooled)
-// checkpoint buffers.
-func (s *Scanner) Scan(e *emu.Emulator, base *mem.Memory, mcfg ooo.Config, opt Options,
-	want func(idx int) bool, acquire func() *Checkpoint) ScanResult {
+// checkpoint buffers. These are all the scan reads: no other machine
+// parameter reaches it, so machines that share them share its result.
+func (s *Scanner) Scan(e *emu.Emulator, base *mem.Memory, hier cache.HierarchyConfig, pred bpred.Config,
+	opt Options, want func(idx int) bool, acquire func() *Checkpoint) ScanResult {
 
 	opt = opt.WithDefaults()
-	s.ensure(mcfg)
+	s.ensure(hier, pred)
 	L, W := opt.Interval, opt.Warmup
 
 	// capturePos returns the scan position at which idx's checkpoint is

@@ -47,7 +47,7 @@ func scanWorkload(t *testing.T, name string, scheme emu.Scheme, opt Options) *fi
 
 	period := opt.WithDefaults().Period
 	sc := NewScanner()
-	res := sc.Scan(e, base, cfg, opt, func(idx int) bool {
+	res := sc.Scan(e, base, cfg.Hierarchy, cfg.Pred, opt, func(idx int) bool {
 		return Selected(idx, period, opt.Seed)
 	}, func() *Checkpoint { return new(Checkpoint) })
 

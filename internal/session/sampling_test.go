@@ -4,14 +4,19 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"dvi/internal/core"
 	"dvi/internal/emu"
+	"dvi/internal/obs"
 	"dvi/internal/ooo"
 	"dvi/internal/runner"
 	"dvi/internal/sample"
 	"dvi/internal/session"
+	"dvi/internal/store"
 	"dvi/internal/workload"
 )
 
@@ -213,5 +218,202 @@ func TestCollectSampledMixedBatch(t *testing.T) {
 	}
 	if results[1].Func.Original() == 0 {
 		t.Error("functional job did not run")
+	}
+}
+
+// TestSampledFrontDoorsCheckMachine sends the sampler's front doors
+// machines it cannot run: two contexts, a 65-entry LVM-Stack and a
+// negative window. Each answers an error that names the problem, before
+// any build, where they used to panic in a worker and end the process.
+func TestSampledFrontDoorsCheckMachine(t *testing.T) {
+	ctx := context.Background()
+	rc := &recordingCompile{}
+	sess := session.New(session.WithCompile(rc.fn()), session.WithWorkers(2))
+	li, _ := workload.ByName("li")
+	plan := session.WithSamplingOptions(samplingTestOpts())
+
+	if _, err := sess.SimulateSampled(ctx, li, plan, session.WithContexts(2)); err == nil ||
+		!strings.Contains(err.Error(), "single-context") {
+		t.Errorf("SimulateSampled at 2 contexts: err = %v, want the single-context error", err)
+	}
+	deep := ooo.DefaultConfig()
+	deep.Emu.DVI.StackDepth = 65
+	if _, err := sess.SimulateSampled(ctx, li, plan, session.WithMachineConfig(deep)); err == nil ||
+		!strings.Contains(err.Error(), "stack_depth") {
+		t.Errorf("SimulateSampled with stack depth 65: err = %v, want a stack_depth error", err)
+	}
+	good := ooo.DefaultConfig()
+	bad := ooo.DefaultConfig()
+	bad.WindowSize = -1
+	jobs := []session.Job{
+		{Label: "good", Workload: li, Scale: 1, Build: session.BuildOptionsFor(core.Full), Kind: runner.Timing, Machine: good},
+		{Label: "negative window", Workload: li, Scale: 1, Build: session.BuildOptionsFor(core.Full), Kind: runner.Timing, Machine: bad},
+	}
+	if _, err := sess.CollectSampled(ctx, jobs, samplingTestOpts()); err == nil ||
+		!strings.Contains(err.Error(), "negative window") || !strings.Contains(err.Error(), "window_size") {
+		t.Errorf("CollectSampled with window -1: err = %v, want an error naming the job and window_size", err)
+	}
+	if n := rc.count.Load(); n != 0 {
+		t.Errorf("%d builds ran before the machine checks failed, want 0", n)
+	}
+}
+
+// groupGrid is an interleaved CollectSampled batch over one workload:
+// four timing jobs on one scan key that differ in the physical
+// registers, width, ports and window the figure sweeps vary; two on a
+// second key (no elimination, so another emulator configuration); one
+// on a third (a shorter instruction cap); and a functional job. groupA
+// indexes the first key's jobs.
+func groupGrid(maxInsts uint64) (jobs []session.Job, groupA []int) {
+	w, _ := workload.ByName("go")
+	build := session.BuildOptionsFor(core.Full)
+	timing := func(label string, scheme emu.Scheme, tweak func(*ooo.Config)) session.Job {
+		cfg := ooo.DefaultConfig()
+		cfg.Emu = session.EmuConfigFor(core.Full, scheme)
+		cfg.MaxInsts = maxInsts
+		tweak(&cfg)
+		return session.Job{Label: label, Workload: w, Scale: 1, Build: build, Kind: runner.Timing, Machine: cfg}
+	}
+	jobs = []session.Job{
+		timing("a regs", emu.ElimLVMStack, func(c *ooo.Config) { c.PhysRegs = 40 }),
+		timing("b base", emu.ElimOff, func(*ooo.Config) {}),
+		{Label: "functional", Workload: w, Scale: 1, Build: build, Kind: runner.Functional,
+			Emu: session.EmuConfigFor(core.Full, emu.ElimLVMStack)},
+		timing("a width", emu.ElimLVMStack, func(c *ooo.Config) { c.IssueWidth = 2 }),
+		timing("a ports", emu.ElimLVMStack, func(c *ooo.Config) { c.CachePorts = 1 }),
+		timing("b regs", emu.ElimOff, func(c *ooo.Config) { c.PhysRegs = 40 }),
+		timing("a window", emu.ElimLVMStack, func(c *ooo.Config) { c.WindowSize = 16 }),
+		timing("c shorter", emu.ElimLVMStack, func(c *ooo.Config) { c.MaxInsts = maxInsts * 3 / 4 }),
+	}
+	return jobs, []int{0, 3, 4, 6}
+}
+
+// TestCollectSampledSharedScanMatchesSolo pins that a shared scan gives
+// each job the estimate it gets alone: at one and eight workers, at a
+// target CI that ends every job after one round and at one that sends
+// half of a group to a denser round, and with half of a group answered
+// from the store. Members of a group run their intervals concurrently
+// from the same checkpoints, which the race detector watches here.
+func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
+	ctx := context.Background()
+	jobs, groupA := groupGrid(80_000)
+	so := samplingTestOpts()
+
+	simulateSampled := func(sess *session.Session, j session.Job, so sample.Options) sample.Estimate {
+		t.Helper()
+		est, err := sess.SimulateSampled(ctx, j.Workload, session.WithLabel(j.Label),
+			session.WithMachineConfig(j.Machine), session.WithSamplingOptions(so))
+		if err != nil {
+			t.Fatalf("%s alone: %v", j.Label, err)
+		}
+		return est
+	}
+	solo := func(so sample.Options) map[int]sample.Estimate {
+		sess := session.New()
+		out := map[int]sample.Estimate{}
+		for i, j := range jobs {
+			if j.Kind == runner.Timing {
+				out[i] = simulateSampled(sess, j, so)
+			}
+		}
+		return out
+	}
+	oneRound := solo(so)
+
+	// A target between the second and third of group A's one-round CIs
+	// sends two of its members to a denser round and lets two stop.
+	var cis []float64
+	for _, i := range groupA {
+		cis = append(cis, oneRound[i].RelCI)
+	}
+	sort.Float64s(cis)
+	if cis[1] == cis[2] {
+		t.Fatalf("group A's CIs %v do not split", cis)
+	}
+	split := so
+	split.TargetCI = (cis[1] + cis[2]) / 2
+	denser := solo(split)
+	more := 0
+	for _, i := range groupA {
+		if denser[i].Measured > oneRound[i].Measured {
+			more++
+		}
+	}
+	if more != 2 {
+		t.Fatalf("target CI %.4f sent %d of group A's 4 members to a second round, want 2", split.TargetCI, more)
+	}
+
+	check := func(name string, sess *session.Session, so sample.Options, want map[int]sample.Estimate) {
+		t.Helper()
+		results, err := sess.CollectSampled(ctx, jobs, so)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, res := range results {
+			if res.Index != i {
+				t.Errorf("%s: result %d has index %d", name, i, res.Index)
+			}
+			if jobs[i].Kind != runner.Timing {
+				if res.Sampled != nil || res.Func.Original() == 0 {
+					t.Errorf("%s: %s did not run exactly", name, jobs[i].Label)
+				}
+				continue
+			}
+			if res.Sampled == nil || !reflect.DeepEqual(*res.Sampled, want[i]) {
+				t.Errorf("%s: %s: grouped estimate differs from its solo run:\n got %+v\nwant %+v",
+					name, jobs[i].Label, res.Sampled, want[i])
+			} else if res.Timing != res.Sampled.Stats {
+				t.Errorf("%s: %s: timing stats are not the estimate's rendering", name, jobs[i].Label)
+			}
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		check("one round", session.New(session.WithWorkers(workers)), so, oneRound)
+		check("split rounds", session.New(session.WithWorkers(workers)), split, denser)
+	}
+
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := session.New(session.WithStore(st), session.WithWorkers(2))
+	for _, i := range groupA[:2] {
+		simulateSampled(sess, jobs[i], split)
+	}
+	before := st.Stats()
+	check("half stored", sess, split, denser)
+	if hits := st.Stats().Hits - before.Hits; hits != 2 {
+		t.Errorf("the store answered %d plans, want group A's 2 stored ones", hits)
+	}
+}
+
+// TestCollectSampledScansOncePerGroup counts the sampler's spans: a grid
+// of N timing jobs over K scan keys, each done after one round, scans
+// K times, not N times, and still aggregates every job.
+func TestCollectSampledScansOncePerGroup(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		counts = map[string]int{}
+	)
+	rec := obs.NewRecorder(1)
+	rec.OnRecord = func(root *obs.Span) {
+		mu.Lock()
+		defer mu.Unlock()
+		root.Visit(func(s *obs.Span) { counts[s.Name()]++ })
+	}
+	ctx := obs.WithRecorder(context.Background(), rec)
+	jobs, _ := groupGrid(40_000)
+
+	if _, err := session.New().CollectSampled(ctx, jobs, samplingTestOpts()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if counts["scan"] != 3 || counts["sample"] != 3 {
+		t.Errorf("7 timing jobs on 3 scan keys ran %d scans in %d sampler spans, want 3 and 3",
+			counts["scan"], counts["sample"])
+	}
+	if counts["aggregate"] != 7 {
+		t.Errorf("%d aggregations, want one per timing job (7)", counts["aggregate"])
 	}
 }

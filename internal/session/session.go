@@ -119,23 +119,13 @@ func (s *Session) Build(ctx context.Context, w workload.Spec, opts ...RunOption)
 // (SimulateSampled returns the estimate itself, CI included).
 func (s *Session) Simulate(ctx context.Context, w workload.Spec, opts ...RunOption) (ooo.Stats, error) {
 	rs := resolve(opts)
+	if rs.sampling != nil {
+		est, err := s.SimulateSampled(ctx, w, opts...)
+		return est.Stats, err
+	}
 	cfg := rs.machineConfig()
 	if err := cfg.Check(); err != nil {
 		return ooo.Stats{}, err
-	}
-	if rs.sampling != nil {
-		if cfg.ContextCount() > 1 {
-			return ooo.Stats{}, fmt.Errorf("session: sampling is single-context (Contexts=%d)", cfg.Contexts)
-		}
-		est, _, err := s.sampleJob(ctx, Job{
-			Label:    rs.label,
-			Workload: w,
-			Scale:    rs.scale,
-			Build:    rs.buildOptions(cfg.Emu.DVI.Level),
-			Kind:     runner.Timing,
-			Machine:  cfg,
-		}, *rs.sampling)
-		return est.Stats, err
 	}
 	res, err := s.one(ctx, Job{
 		Label:    rs.label,
