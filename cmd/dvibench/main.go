@@ -112,16 +112,9 @@ func run() int {
 
 	var progress runner.ProgressFunc
 	if !*quiet {
-		var mu sync.Mutex
-		done := 0
 		progress = func(ev runner.Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			// JobFailed is not printed here: the run's returned error
-			// carries the same label and cause, and main reports it.
-			if ev.Phase == runner.JobDone {
-				done++
-				fmt.Fprintf(os.Stderr, "dvibench: [%d/%d] %s\n", done, ev.Total, ev.Label)
+			if line := progressLine(ev); line != "" {
+				fmt.Fprint(os.Stderr, line) // one write per line
 			}
 		}
 	}
@@ -361,6 +354,19 @@ func emitJSON(ctx context.Context, w io.Writer, sess *session.Session, opt harne
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
+}
+
+// progressLine renders the stderr line for a finished job: its place in
+// its own engine batch over that batch's size. A report runs several
+// batches (the figure grids, then each sampled scan group's intervals),
+// so a count kept across batches would run past the total. Other phases
+// get no line (""): a JobFailed's label and cause come back in the run's
+// error, which main reports.
+func progressLine(ev runner.Event) string {
+	if ev.Phase != runner.JobDone {
+		return ""
+	}
+	return fmt.Sprintf("dvibench: [%d/%d] %s\n", ev.Index+1, ev.Total, ev.Label)
 }
 
 // selectIDs resolves the -figures selection into figure IDs.

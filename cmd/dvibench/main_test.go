@@ -298,3 +298,28 @@ func TestSelectIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressLine pins the progress line to the job's place in its own
+// engine batch. The events come from two batches of one report: a figure
+// grid, then a sampled scan group's intervals, whose count restarts.
+func TestProgressLine(t *testing.T) {
+	done := func(idx, total int, label string) runner.Event {
+		return runner.Event{Phase: runner.JobDone, Index: idx, Total: total, Label: label}
+	}
+	for _, c := range []struct {
+		name string
+		ev   runner.Event
+		want string // "" = no line
+	}{
+		{"grid, first job", done(0, 143, "fig3 compress"), "dvibench: [1/143] fig3 compress\n"},
+		{"grid, last job", done(142, 143, "fig13 gcc"), "dvibench: [143/143] fig13 gcc\n"},
+		{"interval batch, first job", done(0, 18, "interval 0"), "dvibench: [1/18] interval 0\n"},
+		{"interval batch, last job", done(17, 18, "interval 136"), "dvibench: [18/18] interval 136\n"},
+		{"start is silent", runner.Event{Phase: runner.JobStart, Index: 3, Total: 18, Label: "interval 24"}, ""},
+		{"failure is silent", runner.Event{Phase: runner.JobFailed, Index: 3, Total: 18, Label: "interval 24"}, ""},
+	} {
+		if got := progressLine(c.ev); got != c.want {
+			t.Errorf("%s: progressLine = %q, want %q", c.name, got, c.want)
+		}
+	}
+}

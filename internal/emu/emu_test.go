@@ -79,12 +79,16 @@ func TestShiftAndCompareSemantics(t *testing.T) {
 	m.Srli(isa.T2, isa.T0, 60)       // high bits of two's complement
 	m.Slt(isa.T3, isa.T0, isa.Zero)  // -8 < 0 -> 1
 	m.Sltu(isa.T4, isa.T0, isa.Zero) // huge unsigned < 0 -> 0
+
+	m.Inst(isa.Inst{Op: isa.SLTI, Rd: isa.T5, Rs1: isa.T0, Imm: -8}) // -8 < -8 -> 0
+	m.Inst(isa.Inst{Op: isa.SLTI, Rd: isa.T6, Rs1: isa.T0, Imm: -7}) // -8 < -7 -> 1
 	m.Li(isa.A0, 0)
 	m.Sys(isa.A0, isa.T1).Sys(isa.A0, isa.T2).Sys(isa.A0, isa.T3).Sys(isa.A0, isa.T4)
+	m.Sys(isa.A0, isa.T5).Sys(isa.A0, isa.T6)
 	m.Ret()
 	e := run(t, pr, defaultCfg())
 	minusFour := uint64(0xFFFFFFFFFFFFFFFC)
-	want := []uint64{minusFour, (1<<64 - 8) >> 60, 1, 0}
+	want := []uint64{minusFour, (1<<64 - 8) >> 60, 1, 0, 0, 1}
 	for i, w := range want {
 		if e.Outputs[i] != w {
 			t.Errorf("output %d = %#x, want %#x", i, e.Outputs[i], w)
@@ -504,12 +508,12 @@ func TestStepReportsFaulted(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(pr, img, defaultCfg())
-	var faultStep Step
+	var faultStep *Step
 	for i := 0; i < 100 && !e.Halted; i++ {
 		faultStep = e.Step()
 	}
 	if !faultStep.Halted || !faultStep.Faulted {
-		t.Fatalf("final step = %+v, want Halted and Faulted", faultStep)
+		t.Fatalf("final step = %+v, want Halted and Faulted", *faultStep)
 	}
 	if faultStep.PC != 0x40_0000 {
 		t.Errorf("fault pc = %#x, want 0x400000", faultStep.PC)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dvi/internal/core"
+	"dvi/internal/isa"
 	"dvi/internal/prog"
 	"dvi/internal/workload"
 )
@@ -16,6 +17,10 @@ import (
 // The step-stream golden pins every field of every record Step returns,
 // plus the final Stats and Checksum, for the seven workloads under the
 // paper's three DVI configurations and for the fault and halted paths.
+// Each run is hashed twice, the second time with the emulator's record
+// filled with garbage before every Step: the hashes must agree, which pins
+// that Step writes every field on every path (halted, faulted, eliminated,
+// kill) rather than relying on the previous step's values.
 // The ooo core checks only a step's PC and elimination flag, so without
 // this gate a change to the record (a field left stale on some path, a
 // wrong address or kill mask) could go unnoticed until a figure moved.
@@ -114,23 +119,40 @@ func streamRuns(t *testing.T) []streamRun {
 	)
 }
 
-// streamHash runs r and folds its step stream.
-func streamHash(t *testing.T, r streamRun) streamGolden {
+// garbageInst is what a garbage-filled record's instruction points at.
+var garbageInst = isa.Inst{Op: isa.SYS, Rd: 7, Rs1: 9, Rs2: 11, Imm: -3, Mask: 0xf0f0, IsReturn: true}
+
+// fillGarbage overwrites every field of the emulator's step record.
+func fillGarbage(e *Emulator) {
+	e.step = Step{
+		PC: 0xdead_beef, Inst: &garbageInst, NextPC: 0xbad_c0de,
+		IsCtl: true, Taken: true, IsMem: true, Addr: 0xfeed_face,
+		Eliminated: true, Killed: 0x5555_5555, Halted: true, Faulted: true,
+	}
+}
+
+// streamHash runs r and folds its step stream. With garbage set, the step
+// record is garbage-filled before every Step.
+func streamHash(t *testing.T, r streamRun, garbage bool) streamGolden {
 	t.Helper()
 	img, err := r.pr.Link()
 	if err != nil {
 		t.Fatalf("%s: link: %v", r.key, err)
 	}
 	e := New(r.pr, img, r.cfg)
+	step := func() *Step {
+		if garbage {
+			fillGarbage(e)
+		}
+		return e.Step()
+	}
 	h := uint64(14695981039346656037)
 	steps := 0
 	for ; steps < streamCap && !e.Halted; steps++ {
-		st := e.Step()
-		h = foldStep(h, &st)
+		h = foldStep(h, step())
 	}
 	for i := 0; i < r.afterHalted; i++ {
-		st := e.Step()
-		h = foldStep(h, &st)
+		h = foldStep(h, step())
 		steps++
 	}
 	return streamGolden{Steps: steps, Hash: fmt.Sprintf("%016x", foldEnd(h, e))}
@@ -143,7 +165,7 @@ func TestStepStreamGolden(t *testing.T) {
 	if n := reflect.TypeOf(Step{}).NumField(); n != 11 {
 		t.Fatalf("Step has %d fields; fold the new ones in foldStep and update this count", n)
 	}
-	if n := reflect.TypeOf(Step{}.Inst).NumField(); n != 7 {
+	if n := reflect.TypeOf(Step{}.Inst).Elem().NumField(); n != 7 {
 		t.Fatalf("isa.Inst has %d fields; fold the new ones in foldStep and update this count", n)
 	}
 
@@ -151,7 +173,7 @@ func TestStepStreamGolden(t *testing.T) {
 	if os.Getenv("DVI_GOLDEN_UPDATE") != "" {
 		out := make(map[string]streamGolden, len(runs))
 		for _, r := range runs {
-			out[r.key] = streamHash(t, r)
+			out[r.key] = streamHash(t, r, false)
 		}
 		blob, err := json.MarshalIndent(out, "", "\t")
 		if err != nil {
@@ -184,8 +206,11 @@ func TestStepStreamGolden(t *testing.T) {
 			t.Errorf("golden has no run %q (regenerate with DVI_GOLDEN_UPDATE=1)", r.key)
 			continue
 		}
-		if got := streamHash(t, r); got != w {
+		if got := streamHash(t, r, false); got != w {
 			t.Errorf("%s: step stream %+v, want %+v", r.key, got, w)
+		}
+		if got := streamHash(t, r, true); got != w {
+			t.Errorf("%s: step stream over a garbage-filled record %+v, want %+v", r.key, got, w)
 		}
 	}
 }

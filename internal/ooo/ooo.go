@@ -106,7 +106,7 @@ type robEntry struct {
 	valid     bool
 	seq       uint64
 	pc        uint64
-	inst      isa.Inst
+	inst      *isa.Inst // decoded instruction (shared, read-only)
 	class     isa.Class // predecoded pipeline class (prog.Meta)
 	lat       uint8     // predecoded fixed latency (prog.Meta)
 	ctx       uint8     // owning hardware context
@@ -158,7 +158,7 @@ type robEntry struct {
 
 type fetchRec struct {
 	pc          uint64
-	inst        isa.Inst
+	inst        *isa.Inst  // decoded instruction (shared, read-only)
 	meta        *prog.Meta // predecoded metadata for inst (shared, read-only)
 	faulted     bool       // pc was outside the text segment (synthetic HALT)
 	traceID     uint64     // per-run fetch sequence number (trace identity)
@@ -922,7 +922,7 @@ func (m *Machine) youngestLive(c *hwContext) *robEntry {
 	return nil
 }
 
-func (m *Machine) assertStep(rec *fetchRec, st emu.Step, wantElim bool) {
+func (m *Machine) assertStep(rec *fetchRec, st *emu.Step, wantElim bool) {
 	if rec.pc != st.PC {
 		panic(fmt.Sprintf("ooo: emulator desync: decode %#x vs step %#x", rec.pc, st.PC))
 	}

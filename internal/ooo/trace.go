@@ -23,7 +23,7 @@ func (m *Machine) emitRob(e *robEntry, cause obs.SquashCause) {
 	m.traceRec = obs.PipeRecord{
 		ID:        e.traceID,
 		PC:        e.pc,
-		Inst:      e.inst,
+		Inst:      *e.inst,
 		Ctx:       e.ctx,
 		Fetch:     e.fetchCycle,
 		Dispatch:  e.dispatchCycle,
@@ -44,7 +44,7 @@ func (m *Machine) emitDecode(rec *fetchRec, ctx uint8, kind obs.PipeKind, cause 
 	m.traceRec = obs.PipeRecord{
 		ID:        rec.traceID,
 		PC:        rec.pc,
-		Inst:      rec.inst,
+		Inst:      *rec.inst,
 		Ctx:       ctx,
 		Fetch:     rec.fetchCycle,
 		Retire:    m.cycle,

@@ -153,9 +153,12 @@ type Meta struct {
 	Target  uint64 // static taken target (branches, J, JAL); 0 otherwise
 }
 
-// haltMeta describes the synthetic HALT returned for fetches outside the
-// text segment.
-var haltMeta = Meta{Class: isa.ClassHalt}
+// haltInst and haltMeta describe the synthetic HALT returned for fetches
+// outside the text segment.
+var (
+	haltInst = isa.Inst{Op: isa.HALT}
+	haltMeta = Meta{Class: isa.ClassHalt}
+)
 
 // metaFor predecodes one instruction located at pc.
 func metaFor(pc uint64, in isa.Inst) Meta {
@@ -351,27 +354,22 @@ func (pr *Program) Link() (*Image, error) {
 	return img, nil
 }
 
-// At returns the decoded instruction at pc. Fetches outside the text
-// segment return HALT so runaway control flow terminates deterministically.
-func (img *Image) At(pc uint64) isa.Inst {
-	in, _, _ := img.AtMeta(pc)
-	return in
-}
-
 // AtMeta returns the decoded instruction at pc together with its
-// predecoded metadata. ok is false for a fetch outside the text segment
-// (misaligned or out of range): the instruction is then a synthetic HALT —
-// runaway control flow terminates deterministically — and callers that
-// care distinguish a fault from the program's real HALT by ok.
-func (img *Image) AtMeta(pc uint64) (in isa.Inst, meta *Meta, ok bool) {
+// predecoded metadata, both by pointer into the image's tables: callers
+// share them read-only, so a fetch copies no instruction. ok is false for
+// a fetch outside the text segment (misaligned or out of range): the
+// instruction is then a shared synthetic HALT — runaway control flow
+// terminates deterministically — and callers that care distinguish a
+// fault from the program's real HALT by ok.
+func (img *Image) AtMeta(pc uint64) (in *isa.Inst, meta *Meta, ok bool) {
 	if pc < img.TextBase || pc&3 != 0 {
-		return isa.Inst{Op: isa.HALT}, &haltMeta, false
+		return &haltInst, &haltMeta, false
 	}
 	idx := (pc - img.TextBase) / isa.InstBytes
 	if idx >= uint64(len(img.Metas)) {
-		return isa.Inst{Op: isa.HALT}, &haltMeta, false
+		return &haltInst, &haltMeta, false
 	}
-	return img.Insts[idx], &img.Metas[idx], true
+	return &img.Insts[idx], &img.Metas[idx], true
 }
 
 // InText reports whether pc addresses a linked instruction.

@@ -7,6 +7,12 @@ import (
 	"dvi/internal/isa"
 )
 
+// at returns the decoded instruction at pc.
+func at(img *Image, pc uint64) isa.Inst {
+	in, _, _ := img.AtMeta(pc)
+	return *in
+}
+
 // buildCountdown builds a program whose main calls a leaf in a loop.
 func buildCountdown(t *testing.T) (*Program, *Image) {
 	t.Helper()
@@ -37,14 +43,14 @@ func TestLinkBasics(t *testing.T) {
 		t.Errorf("entry %#x != text base %#x", img.EntryPC, img.TextBase)
 	}
 	// Trampoline: jal main; halt.
-	in0 := img.At(img.EntryPC)
+	in0 := at(img, img.EntryPC)
 	if in0.Op != isa.JAL {
 		t.Fatalf("entry inst = %v", in0)
 	}
 	if uint64(in0.Imm) != img.ProcAddrs["main"] {
 		t.Errorf("trampoline target %#x, want main at %#x", in0.Imm, img.ProcAddrs["main"])
 	}
-	if img.At(img.HaltPC).Op != isa.HALT {
+	if at(img, img.HaltPC).Op != isa.HALT {
 		t.Error("halt trampoline missing")
 	}
 	want := 2 + len(pr.Proc("leaf").Insts) + len(pr.Proc("main").Insts)
@@ -59,7 +65,7 @@ func TestBranchResolution(t *testing.T) {
 	mainAddr := img.ProcAddrs["main"]
 	var bnePC uint64
 	for pc := mainAddr; img.InText(pc); pc += 4 {
-		if img.At(pc).Op == isa.BNE {
+		if at(img, pc).Op == isa.BNE {
 			bnePC = pc
 			break
 		}
@@ -67,7 +73,7 @@ func TestBranchResolution(t *testing.T) {
 	if bnePC == 0 {
 		t.Fatal("bne not found")
 	}
-	target, ok := isa.BranchTarget(bnePC, img.At(bnePC))
+	target, ok := isa.BranchTarget(bnePC, at(img, bnePC))
 	if !ok {
 		t.Fatal("no branch target")
 	}
@@ -92,11 +98,11 @@ func TestBackwardAndForwardBranches(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := img.ProcAddrs["main"]
-	fwd, _ := isa.BranchTarget(base+4, img.At(base+4))
+	fwd, _ := isa.BranchTarget(base+4, at(img, base+4))
 	if fwd != base+16 {
 		t.Errorf("forward target %#x, want %#x", fwd, base+16)
 	}
-	back, _ := isa.BranchTarget(base+12, img.At(base+12))
+	back, _ := isa.BranchTarget(base+12, at(img, base+12))
 	if back != base+8 {
 		t.Errorf("backward target %#x, want %#x", back, base+8)
 	}
@@ -172,7 +178,7 @@ func TestDataLayoutAndLoadAddr(t *testing.T) {
 	}
 	// LUI+ORI pair must materialize the address.
 	base := img.ProcAddrs["main"]
-	lui, ori := img.At(base), img.At(base+4)
+	lui, ori := at(img, base), at(img, base+4)
 	got := uint64(lui.Imm)<<16 | uint64(ori.Imm)
 	if got != tbl {
 		t.Errorf("LoadAddr materializes %#x, want %#x", got, tbl)
@@ -212,14 +218,14 @@ func TestInsertBeforePreservesLabelsAndTargets(t *testing.T) {
 	}
 	base := img.ProcAddrs["main"]
 	// Instruction stream: li, addi(label), kill, jal, bne, ret.
-	if img.At(base+8).Op != isa.KILL {
-		t.Fatalf("kill not at expected slot: %v", img.At(base+8))
+	if at(img, base+8).Op != isa.KILL {
+		t.Fatalf("kill not at expected slot: %v", at(img, base+8))
 	}
 	bnePC := base + 16
-	if img.At(bnePC).Op != isa.BNE {
-		t.Fatalf("bne not at expected slot: %v", img.At(bnePC))
+	if at(img, bnePC).Op != isa.BNE {
+		t.Fatalf("bne not at expected slot: %v", at(img, bnePC))
 	}
-	target, _ := isa.BranchTarget(bnePC, img.At(bnePC))
+	target, _ := isa.BranchTarget(bnePC, at(img, bnePC))
 	if target != base+4 {
 		t.Errorf("branch target %#x after insertion, want %#x", target, base+4)
 	}
@@ -261,14 +267,26 @@ func TestProcOf(t *testing.T) {
 
 func TestAtOutOfRangeIsHalt(t *testing.T) {
 	_, img := buildCountdown(t)
-	if img.At(0).Op != isa.HALT {
-		t.Error("below text should decode as halt")
+	for _, c := range []struct {
+		name string
+		pc   uint64
+	}{
+		{"below text", 0},
+		{"above text", img.TextBase + uint64(len(img.Insts))*4},
+		{"unaligned", img.TextBase + 2},
+	} {
+		in, meta, ok := img.AtMeta(c.pc)
+		if in.Op != isa.HALT || meta.Class != isa.ClassHalt || ok {
+			t.Errorf("%s: AtMeta = %v, class %v, ok %v; want a synthetic halt", c.name, *in, meta.Class, ok)
+		}
 	}
-	if img.At(img.TextBase+uint64(len(img.Insts))*4).Op != isa.HALT {
-		t.Error("above text should decode as halt")
+	// The real trampoline HALT is in the text, and the decoded text is
+	// returned in place, not copied.
+	if in, _, ok := img.AtMeta(img.HaltPC); in.Op != isa.HALT || !ok {
+		t.Errorf("AtMeta(HaltPC) = %v, ok %v; want the trampoline's halt", *in, ok)
 	}
-	if img.At(img.TextBase+2).Op != isa.HALT {
-		t.Error("unaligned fetch should decode as halt")
+	if in, _, _ := img.AtMeta(img.EntryPC); in != &img.Insts[0] {
+		t.Error("AtMeta copied the decoded instruction")
 	}
 }
 
@@ -285,7 +303,7 @@ func TestFrameHelperEmitsLiveSaves(t *testing.T) {
 	var lvst, lvld, st, ld int
 	base := img.ProcAddrs["main"]
 	for pc := base; img.InText(pc); pc += 4 {
-		switch img.At(pc).Op {
+		switch at(img, pc).Op {
 		case isa.LVST:
 			lvst++
 		case isa.LVLD:

@@ -183,7 +183,7 @@ func (o *taintOracle) setMem(addr uint64, width int, taint bool) {
 
 // step applies one executed instruction to the shadow state and returns
 // an error if a dead (tainted) value reached an observable sink.
-func (o *taintOracle) step(st emu.Step, e *emu.Emulator) error {
+func (o *taintOracle) step(st *emu.Step, e *emu.Emulator) error {
 	in := st.Inst
 	sink := func(rs ...isa.Reg) error {
 		for _, r := range rs {

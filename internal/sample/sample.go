@@ -236,7 +236,7 @@ func (s *Scanner) ensure(hier cache.HierarchyConfig, pred bpred.Config) {
 // and pops at calls and returns. Wrong-path pollution is the one effect
 // functional warming cannot reproduce; the confidence interval's
 // non-sampling margin covers it.
-func (s *Scanner) warm(st emu.Step) {
+func (s *Scanner) warm(st *emu.Step) {
 	s.hier.L1I.Access(st.PC, false)
 	if st.IsMem {
 		var write bool
@@ -302,11 +302,20 @@ func (s *Scanner) Scan(e *emu.Emulator, base *mem.Memory, hier cache.HierarchyCo
 		}
 	}
 
+	// Every selected interval whose start is at most W captures at
+	// position 0, so several can share a position: capture all of them
+	// before stepping on. An interval that starts at or past MaxInsts is
+	// empty and gets none, which bounds those captures however long the
+	// warmup.
+	capturable := func(idx int) bool {
+		return opt.MaxInsts == 0 || uint64(idx)*L < opt.MaxInsts
+	}
+
 	var res ScanResult
 	captureIdx := nextSelected(0)
 	orig := uint64(0)
 	for !e.Halted && (opt.MaxInsts == 0 || orig < opt.MaxInsts) {
-		if orig == capturePos(captureIdx) {
+		for orig == capturePos(captureIdx) && capturable(captureIdx) {
 			ck := acquire()
 			ck.Index = captureIdx
 			ck.WarmupGap = uint64(captureIdx)*L - orig

@@ -188,6 +188,42 @@ func TestFullCoverageTilesProgram(t *testing.T) {
 	}
 }
 
+// TestScanCapturesEveryLongWarmupInterval: a selected interval whose start
+// is at most Warmup captures its checkpoint at program start, so with a
+// warmup of an interval or more several intervals share capture position
+// 0. Each must still get its own checkpoint, and so must every later
+// selected interval, each with the warmup gap its start allows.
+func TestScanCapturesEveryLongWarmupInterval(t *testing.T) {
+	const interval = 1000
+	for _, warmup := range []uint64{1000, 2500, 8000} {
+		for _, period := range []int{1, 8} {
+			opt := Options{Interval: interval, Warmup: warmup, Period: period, MaxInsts: 100_000}
+			f := scanWorkload(t, "li", emu.ElimLVMStack, opt)
+			if f.res.Intervals != 100 {
+				t.Fatalf("li under a 100k cap has %d intervals, want 100", f.res.Intervals)
+			}
+			var want []int
+			for idx := 0; idx < f.res.Intervals; idx++ {
+				if Selected(idx, period, opt.Seed) {
+					want = append(want, idx)
+				}
+			}
+			var got []int
+			for _, ck := range f.usable {
+				got = append(got, ck.Index)
+				if gap := min(warmup, uint64(ck.Index)*interval); ck.WarmupGap != gap {
+					t.Errorf("warmup %d, period %d: interval %d has warmup gap %d, want %d",
+						warmup, period, ck.Index, ck.WarmupGap, gap)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("warmup %d, period %d: checkpoints for %d intervals %v, want %d %v",
+					warmup, period, len(got), got, len(want), want)
+			}
+		}
+	}
+}
+
 // TestSampledEstimateWithinCI pins the headline accuracy contract at a
 // realistic sparse plan: the sampled IPC estimate is within its own
 // reported confidence interval of the exact detailed IPC, while
