@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -34,6 +35,26 @@ func fastConfig(backends []string, local *service.Server) gateway.Config {
 		HealthInterval:  time.Second,
 		Seed:            1,
 	}
+}
+
+// logicalFleet returns a backend transport that dials each of names
+// (fixed logical backend URLs) to the matching server's listener. The
+// ring places keys by backend URL and an httptest URL carries a random
+// port, so a test whose assertions need a given backend to own some of
+// its keys names its backends this way, as perfbench's fleet does.
+func logicalFleet(names []string, servers ...*httptest.Server) *http.Transport {
+	addrs := map[string]string{}
+	for i, ts := range servers {
+		addrs[strings.TrimPrefix(names[i], "http://")+":80"] = ts.Listener.Addr().String()
+	}
+	var d net.Dialer
+	return &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		real, ok := addrs[addr]
+		if !ok {
+			return nil, fmt.Errorf("no test backend at %s", addr)
+		}
+		return d.DialContext(ctx, network, real)
+	}}
 }
 
 func post(t *testing.T, url, body string) (int, http.Header, []byte) {
@@ -313,7 +334,9 @@ func TestGatewayRetriesTransientFailures(t *testing.T) {
 }
 
 // TestGatewayHedgesSlowBackend: with one backend answering slowly, the
-// hedge budget sends duplicates to the fast replica and wins.
+// hedge budget sends duplicates to the fast replica and wins. The slow
+// backend must own some of the batch's keys, or no job has it as primary
+// and nothing is hedged; under its fixed name it owns li, go and gcc.
 func TestGatewayHedgesSlowBackend(t *testing.T) {
 	// The 1.5s delay is deliberately huge: under -race a saturated fast
 	// backend can take hundreds of milliseconds per job, and the hedge
@@ -325,7 +348,10 @@ func TestGatewayHedgesSlowBackend(t *testing.T) {
 	defer fast.Close()
 
 	local := service.New(service.Config{})
-	gw, err := gateway.New(fastConfig([]string{slow.URL, fast.URL}, local))
+	urls := []string{"http://slow-backend", "http://fast-backend"}
+	cfg := fastConfig(urls, local)
+	cfg.Transport = logicalFleet(urls, slow, fast)
+	gw, err := gateway.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,8 +496,12 @@ func TestGatewayChaos(t *testing.T) {
 	defer hanger.Close()
 	defer steady.Close()
 
+	// Under fixed names the victim owns go and gcc and the hanger owns
+	// compress and li, so both faults meet primaries on every run.
 	local := service.New(service.Config{})
-	cfg := fastConfig([]string{victim.URL, hanger.URL, steady.URL}, local)
+	urls := []string{"http://victim", "http://hanger", "http://steady"}
+	cfg := fastConfig(urls, local)
+	cfg.Transport = logicalFleet(urls, victim, hanger, steady)
 	cfg.RequestTimeout = 2 * time.Second // hangs must not stall the batch
 	gw, err := gateway.New(cfg)
 	if err != nil {

@@ -48,7 +48,9 @@ const (
 	// SampledInterval runs one checkpointed interval of a sampled
 	// simulation in detail (sample.RunInterval). The sampler submits one
 	// job per selected interval; they are independent, so a batch spreads
-	// across the pool like any other grid.
+	// across the pool like any other grid. A job whose result an earlier
+	// run on the same checkpoint proves (sample.Checkpoint.Answer) is
+	// answered from it without taking a machine.
 	SampledInterval
 )
 
@@ -98,8 +100,9 @@ type Job struct {
 	Interval uint64
 
 	// Sample is the checkpoint a SampledInterval job simulates. The
-	// checkpoint is read-only during the run and owned by the submitting
-	// sampler (typically acquired from AcquireCheckpoint).
+	// checkpoint's state is read-only during the run (only its recorded
+	// answers grow) and owned by the submitting sampler (typically
+	// acquired from AcquireCheckpoint).
 	Sample *sample.Checkpoint
 
 	// KeepMachine retains the Timing simulator instance on the Result
@@ -493,19 +496,23 @@ func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (Re
 		if j.Sample == nil {
 			return res, fmt.Errorf("runner: SampledInterval job without a checkpoint")
 		}
-		if err := j.Machine.Check(); err != nil {
+		if err := sample.CheckMachine(j.Machine); err != nil {
 			return res, err
 		}
-		if n := j.Machine.ContextCount(); n > 1 {
-			return res, fmt.Errorf("runner: sampled interval on a %d-context machine; sampling is single-context", n)
-		}
-		m := e.getMachine(pr, img, j.Machine)
-		iv, err := sample.RunInterval(m, j.Sample)
-		if err != nil {
-			return res, err
+		// An earlier run on this checkpoint may prove the result (same
+		// machine, or a register file that never filled); the job then
+		// takes no machine.
+		iv, ok := j.Sample.Answer(j.Machine)
+		if !ok {
+			m := e.getMachine(pr, img, j.Machine)
+			var err error
+			if iv, err = sample.RunInterval(m, j.Sample); err != nil {
+				return res, err
+			}
+			j.Sample.Record(j.Machine, iv)
+			e.putMachine(m)
 		}
 		res.Interval = iv
-		e.putMachine(m)
 	case Build:
 		// Artifacts only.
 	default:

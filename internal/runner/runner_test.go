@@ -11,8 +11,10 @@ import (
 
 	"dvi/internal/core"
 	"dvi/internal/emu"
+	"dvi/internal/obs"
 	"dvi/internal/ooo"
 	"dvi/internal/prog"
+	"dvi/internal/rename"
 	"dvi/internal/sample"
 	"dvi/internal/workload"
 )
@@ -246,7 +248,10 @@ func TestTimingJobCarriesMachine(t *testing.T) {
 // TestSampledIntervalChecksMachine pins that an interval job on a machine
 // the sampler cannot run answers an error instead of panicking in a
 // worker: two contexts used to reach Boot's single-context panic, a
-// negative window makeslice's.
+// negative window makeslice's, and a trace sink would take records from
+// every interval job at once. The checks come before the checkpoint's
+// recorded answers: a file too large for Check, in the class of a run
+// whose peak it exceeds, still fails.
 func TestSampledIntervalChecksMachine(t *testing.T) {
 	eng := New(Options{Workers: 1})
 	li, _ := workload.ByName("li")
@@ -254,13 +259,18 @@ func TestSampledIntervalChecksMachine(t *testing.T) {
 	smt.Contexts = 2
 	neg := ooo.DefaultConfig()
 	neg.WindowSize = -1
+	traced := ooo.DefaultConfig()
+	traced.Trace = obs.NewPipeBuffer(0)
+	huge := ooo.DefaultConfig()
+	huge.PhysRegs = rename.MaxPhys + 1
 	for _, tc := range []struct {
 		cfg  ooo.Config
 		want string
-	}{{smt, "single-context"}, {neg, "window_size"}} {
+	}{{smt, "single-context"}, {neg, "window_size"}, {traced, "mutually exclusive"}, {huge, "phys_regs"}} {
+		ck := &sample.Checkpoint{MeasureLen: 1}
+		ck.Record(ooo.DefaultConfig(), sample.IntervalResult{Insts: 1, Cycles: 1, MaxPhys: 40})
 		_, err := eng.Run(context.Background(), []Job{{
-			Workload: li, Scale: 1, Kind: SampledInterval, Machine: tc.cfg,
-			Sample: &sample.Checkpoint{MeasureLen: 1},
+			Workload: li, Scale: 1, Kind: SampledInterval, Machine: tc.cfg, Sample: ck,
 		}})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v, want one naming %q", err, tc.want)

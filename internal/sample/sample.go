@@ -26,15 +26,45 @@
 // short of their target after a round have measured the same intervals
 // under the same period, so they share the next round's scan too.
 //
+// Register-file classes: the interval jobs of one checkpoint whose
+// machines differ only in PhysRegs form a class, and a run whose file
+// never fills answers for every larger-than-its-peak file in its class
+// (Checkpoint.Answer). The answer is exact, not an approximation:
+//
+//   - rename allocation always takes the lowest-numbered free register,
+//     and recovery's free-list rebuild frees only registers nothing uses;
+//   - dispatch stalls on rename only when the free list is empty, that
+//     is, when the registers in use equal the file size;
+//   - the machine reads its in-use count at the end of each cycle, after
+//     dispatch. Commit and recovery free registers before dispatch
+//     allocates, and within a cycle nothing is freed after the first
+//     allocation: a kill frees its victim at once only when its context
+//     has nothing in flight, so on one context no allocation precedes it
+//     in that cycle. The end-of-cycle count is therefore the run's true
+//     peak M (IntervalResult.MaxPhys).
+//
+// So a file of more than M registers never stalls on rename and hands
+// out the same register on every allocation: two such runs agree in
+// every Stats field and every pipeline-trace record. The argument needs
+// one context — on several, one context's immediate kill-free can follow
+// another's allocation in the same cycle and the end-of-cycle count can
+// miss the peak — and sampling is single-context (CheckMachine).
+// TestRegisterFileClassInvariant in package ooo pins the property.
+//
 // Determinism: interval selection is a pure function of (interval size,
 // period, seed), the scan is single-threaded, and aggregation folds
 // per-interval results in interval order — so a fixed plan yields
-// bit-identical estimates at any worker count, alone or in a group.
+// bit-identical estimates at any worker count, alone or in a group. An
+// answered interval carries the result its own simulation would, so
+// which intervals are answered (it depends on which runs finish first)
+// never shows in an estimate.
 package sample
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"dvi/internal/bpred"
 	"dvi/internal/cache"
@@ -109,6 +139,28 @@ func Selected(idx, period int, seed uint64) bool {
 	return idx%period == int(seed%uint64(period))
 }
 
+// ErrTraced refuses a traced machine in a sampled run: every interval
+// job would emit into the one trace sink at once, and a sampled estimate
+// has no contiguous pipeline to trace.
+var ErrTraced = errors.New("trace and sampling are mutually exclusive: a sampled estimate has no contiguous pipeline to trace")
+
+// CheckMachine reports whether cfg can simulate sampled intervals: it
+// must pass ooo.Config.Check, have one context (a checkpoint restores one
+// architectural state, and the register-file class argument above needs
+// one) and carry no trace sink (ErrTraced).
+func CheckMachine(cfg ooo.Config) error {
+	if err := cfg.Check(); err != nil {
+		return err
+	}
+	if n := cfg.ContextCount(); n > 1 {
+		return fmt.Errorf("sample: sampling is single-context (Contexts=%d)", n)
+	}
+	if cfg.Trace != nil {
+		return ErrTraced
+	}
+	return nil
+}
+
 // Checkpoint is the state needed to simulate one interval in detail,
 // captured during the functional scan Warmup instructions before the
 // interval begins. Buffers inside are reused across captures; the engine
@@ -126,6 +178,54 @@ type Checkpoint struct {
 
 	Arch emu.Snapshot
 	Warm ooo.WarmState
+
+	// answers are the runs recorded from this capture (Record), read by
+	// Answer. Interval jobs of several machines share one checkpoint, so
+	// mu guards them; Scan empties them whenever it captures the buffer
+	// again, so no answer outlives the program state it was measured on.
+	mu      sync.Mutex
+	answers []answer
+}
+
+// answer is one recorded interval run: its machine's register-file class
+// (Class), the file size it ran at, and its result.
+type answer struct {
+	class ooo.Config
+	phys  int
+	res   IntervalResult
+}
+
+// Class returns cfg's register-file class key: the machine with
+// PhysRegs zeroed, so that no other field can be left out of the key.
+func Class(cfg ooo.Config) ooo.Config {
+	cfg.PhysRegs = 0
+	return cfg
+}
+
+// Answer returns the result that simulating this checkpoint's interval
+// on cfg would give, when a recorded run proves it: the same machine, or
+// one of its register-file class where both files are larger than the
+// recorded run's peak (see the package comment). cfg must pass
+// CheckMachine.
+func (ck *Checkpoint) Answer(cfg ooo.Config) (IntervalResult, bool) {
+	class, phys := Class(cfg), cfg.PhysRegs
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	for _, a := range ck.answers {
+		if a.class == class && (a.phys == phys || min(a.phys, phys) > a.res.MaxPhys) {
+			return a.res, true
+		}
+	}
+	return IntervalResult{}, false
+}
+
+// Record notes r, measured by RunInterval on cfg from this checkpoint,
+// for later Answer calls.
+func (ck *Checkpoint) Record(cfg ooo.Config, r IntervalResult) {
+	class, phys := Class(cfg), cfg.PhysRegs
+	ck.mu.Lock()
+	ck.answers = append(ck.answers, answer{class: class, phys: phys, res: r})
+	ck.mu.Unlock()
 }
 
 // IntervalResult is the detailed measurement of one interval.
@@ -317,6 +417,7 @@ func (s *Scanner) Scan(e *emu.Emulator, base *mem.Memory, hier cache.HierarchyCo
 	for !e.Halted && (opt.MaxInsts == 0 || orig < opt.MaxInsts) {
 		for orig == capturePos(captureIdx) && capturable(captureIdx) {
 			ck := acquire()
+			ck.answers = ck.answers[:0] // a new capture: earlier runs prove nothing
 			ck.Index = captureIdx
 			ck.WarmupGap = uint64(captureIdx)*L - orig
 			ck.MeasureLen = 0 // fixed up after the scan knows TotalInsts

@@ -299,6 +299,93 @@ func TestRunIntervalDeterministic(t *testing.T) {
 	}
 }
 
+// TestCheckpointAnswers pins what a recorded run answers: the same
+// machine, and machines of its register-file class whose file is larger
+// than the run's peak — with the result their own simulation gives — but
+// not a file at the peak, nor another class.
+func TestCheckpointAnswers(t *testing.T) {
+	opt := Options{Interval: 4000, Warmup: 1000, Period: 4}
+	f := scanWorkload(t, "go", emu.ElimLVMStack, opt)
+	ck := f.usable[len(f.usable)/2]
+	f.reset()
+	r, err := RunInterval(f.m, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.MaxPhys >= f.cfg.PhysRegs {
+		t.Fatalf("the %d-register file filled (peak %d)", f.cfg.PhysRegs, r.MaxPhys)
+	}
+	if _, ok := ck.Answer(f.cfg); ok {
+		t.Fatal("a checkpoint answered before any run was recorded")
+	}
+	ck.Record(f.cfg, r)
+
+	at := func(phys int) ooo.Config {
+		cfg := f.cfg
+		cfg.PhysRegs = phys
+		return cfg
+	}
+	above := at(r.MaxPhys + 1)
+	for _, cfg := range []ooo.Config{f.cfg, above} {
+		if got, ok := ck.Answer(cfg); !ok || got != r {
+			t.Errorf("%d registers: Answer = %+v, %v; want the recorded %+v", cfg.PhysRegs, got, ok, r)
+		}
+	}
+	m := ooo.New(f.pr, f.img, above)
+	if got, err := RunInterval(m, ck); err != nil || got != r {
+		t.Errorf("simulated at %d registers: %+v, %v; the answer was %+v", above.PhysRegs, got, err, r)
+	}
+	wide := f.cfg
+	wide.IssueWidth = 2
+	for _, cfg := range []ooo.Config{at(r.MaxPhys), wide} {
+		if got, ok := ck.Answer(cfg); ok {
+			t.Errorf("Answer(%d registers, width %d) = %+v; the recorded run proves nothing for it",
+				cfg.PhysRegs, cfg.IssueWidth, got)
+		}
+	}
+}
+
+// TestRecaptureClearsAnswers pins that a pooled checkpoint buffer scanned
+// again, here for another program, answers nothing from its previous
+// capture.
+func TestRecaptureClearsAnswers(t *testing.T) {
+	opt := Options{Interval: 4000, Warmup: 1000, Period: 4}
+	f := scanWorkload(t, "go", emu.ElimLVMStack, opt)
+	pool := f.res.Checkpoints
+	for _, ck := range f.usable {
+		ck.Record(f.cfg, IntervalResult{Index: ck.Index, Insts: 1, Cycles: 1, MaxPhys: ooo.DefaultConfig().PhysRegs - 1})
+		if _, ok := ck.Answer(f.cfg); !ok {
+			t.Fatal("a recorded run does not answer its own machine")
+		}
+	}
+
+	li, _ := workload.ByName("li")
+	pr, img, err := workload.CompileSpec(li, 1, workload.BuildOptions{EDVI: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := mem.New()
+	img.LoadInto(base, pr.Data)
+	res := NewScanner().Scan(emu.New(pr, img, f.cfg.Emu), base, f.cfg.Hierarchy, f.cfg.Pred, opt,
+		func(idx int) bool { return Selected(idx, 4, 0) },
+		func() *Checkpoint {
+			if len(pool) == 0 {
+				return new(Checkpoint)
+			}
+			ck := pool[0]
+			pool = pool[1:]
+			return ck
+		})
+	if len(pool) != 0 || len(res.Checkpoints) < len(f.res.Checkpoints) {
+		t.Fatalf("the rescan reused %d of %d buffers", len(f.res.Checkpoints)-len(pool), len(f.res.Checkpoints))
+	}
+	for _, ck := range res.Checkpoints {
+		if got, ok := ck.Answer(f.cfg); ok {
+			t.Errorf("recaptured interval %d answered %+v from the previous program", ck.Index, got)
+		}
+	}
+}
+
 func TestAggregateCIBehaviour(t *testing.T) {
 	scan := ScanResult{TotalInsts: 40_000, Intervals: 10}
 	mk := func(cpis ...float64) []IntervalResult {

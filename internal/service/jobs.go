@@ -214,8 +214,7 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError
 	traceFormat := ""
 	if req.Trace != nil {
 		if req.Sampling != nil {
-			return nil, errf(http.StatusBadRequest,
-				"trace and sampling are mutually exclusive: a sampled estimate has no contiguous pipeline to trace")
+			return nil, errf(http.StatusBadRequest, "%v", sample.ErrTraced)
 		}
 		switch req.Trace.Format {
 		case "", "chrome":

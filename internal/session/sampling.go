@@ -1,6 +1,7 @@
 package session
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -44,16 +45,13 @@ func WithSamplingOptions(opt sample.Options) RunOption {
 // returns the full estimate (Simulate with WithSampling returns only the
 // rendered machine stats). Sampling options come from WithSampling /
 // WithSamplingOptions, or the defaults when absent. The machine must pass
-// ooo.Config.Check and have one context: a checkpoint restores one
-// architectural state.
+// sample.CheckMachine: ooo.Config.Check, one context (a checkpoint
+// restores one architectural state) and no trace sink.
 func (s *Session) SimulateSampled(ctx context.Context, w workload.Spec, opts ...RunOption) (sample.Estimate, error) {
 	rs := resolve(opts)
 	cfg := rs.machineConfig()
-	if err := cfg.Check(); err != nil {
+	if err := sample.CheckMachine(cfg); err != nil {
 		return sample.Estimate{}, err
-	}
-	if n := cfg.ContextCount(); n > 1 {
-		return sample.Estimate{}, fmt.Errorf("session: sampling is single-context (Contexts=%d)", n)
 	}
 	so := sample.Options{}
 	if rs.sampling != nil {
@@ -81,8 +79,8 @@ func (s *Session) SimulateSampled(ctx context.Context, w workload.Spec, opts ...
 // checkpoint restores one architectural state) run exactly as in
 // Collect, as one batch after the sampled ones. Results are in
 // submission order; the first failure aborts everything. A sampled job
-// whose machine fails ooo.Config.Check fails the call, naming the job,
-// before any build or scan.
+// whose machine fails sample.CheckMachine (ooo.Config.Check, or a trace
+// sink) fails the call, naming the job, before any build or scan.
 //
 // Sampled jobs run in scan groups (see package sample): jobs with equal
 // scan keys — the same binary, emulator, cache hierarchy, predictor and
@@ -104,7 +102,7 @@ func (s *Session) CollectSampled(ctx context.Context, jobs []Job, so sample.Opti
 			exactIdx = append(exactIdx, i)
 			continue
 		}
-		if err := j.Machine.Check(); err != nil {
+		if err := sample.CheckMachine(j.Machine); err != nil {
 			return nil, fmt.Errorf("%s: %w", sampleLabel(j), err)
 		}
 		k := scanKeyOf(j)
@@ -192,6 +190,14 @@ const maxSampleRounds = 5
 // a round at half the period. The members that go on have measured the
 // same intervals under the same period, so one scan serves them again,
 // and every estimate equals the member's run alone.
+//
+// Each register-file class's leader (see package sample), the member
+// with the class's largest file, submits its interval jobs first, and
+// the followers follow from the smallest file up: those the leader's
+// run can answer (sample.Checkpoint.Answer) start last, when it has
+// most likely finished. No job waits for another: a follower that
+// starts before its leader finishes simulates, and gets the same
+// result.
 func (s *Session) sampleGroup(ctx context.Context, group []Job, so sample.Options) ([]Result, error) {
 	key := scanKeyOf(group[0])
 	label := sampleLabel(group[0])
@@ -278,7 +284,22 @@ func (s *Session) sampleGroup(ctx context.Context, group []Job, so sample.Option
 		}
 
 		// Every open member simulates every checkpoint; interval jobs
-		// only read the checkpoints they share.
+		// only read the checkpoints they share. Class leaders submit
+		// first, then the followers from the smallest file up.
+		leaders := map[ooo.Config]*member{}
+		for _, m := range open {
+			k := sample.Class(m.machine)
+			if l := leaders[k]; l == nil || m.machine.PhysRegs > l.machine.PhysRegs {
+				leaders[k] = m
+			}
+		}
+		rank := func(m *member) int {
+			if leaders[sample.Class(m.machine)] == m {
+				return 0
+			}
+			return m.machine.PhysRegs
+		}
+		slices.SortStableFunc(open, func(a, b *member) int { return cmp.Compare(rank(a), rank(b)) })
 		var (
 			ivJobs []Job
 			owners []*member

@@ -2,6 +2,8 @@ package session_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -258,6 +260,34 @@ func TestSampledFrontDoorsCheckMachine(t *testing.T) {
 	}
 }
 
+// TestSampledFrontDoorsRefuseTrace sends the sampler's front doors a
+// traced machine. Every interval job would emit into its one trace
+// buffer at once, and the buffer has no lock; each front door answers
+// sample.ErrTraced instead, before any build.
+func TestSampledFrontDoorsRefuseTrace(t *testing.T) {
+	ctx := context.Background()
+	rc := &recordingCompile{}
+	sess := session.New(session.WithCompile(rc.fn()), session.WithWorkers(4))
+	compress, _ := workload.ByName("compress")
+	traced := ooo.DefaultConfig()
+	traced.MaxInsts = 200_000
+	traced.Trace = obs.NewPipeBuffer(0)
+
+	if _, err := sess.SimulateSampled(ctx, compress, session.WithMachineConfig(traced),
+		session.WithSampling(4000, 1000, 0)); !errors.Is(err, sample.ErrTraced) {
+		t.Errorf("SimulateSampled on a traced machine: err = %v, want sample.ErrTraced", err)
+	}
+	jobs := []session.Job{{Label: "traced", Workload: compress, Scale: 1,
+		Build: session.BuildOptionsFor(core.Full), Kind: runner.Timing, Machine: traced}}
+	if _, err := sess.CollectSampled(ctx, jobs, samplingTestOpts()); !errors.Is(err, sample.ErrTraced) ||
+		!strings.Contains(err.Error(), "traced") {
+		t.Errorf("CollectSampled on a traced machine: err = %v, want sample.ErrTraced naming the job", err)
+	}
+	if n := rc.count.Load(); n != 0 {
+		t.Errorf("%d builds ran before the trace checks failed, want 0", n)
+	}
+}
+
 // groupGrid is an interleaved CollectSampled batch over one workload:
 // four timing jobs on one scan key that differ in the physical
 // registers, width, ports and window the figure sweeps vary; two on a
@@ -384,6 +414,39 @@ func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
 	check("half stored", sess, split, denser)
 	if hits := st.Stats().Hits - before.Hits; hits != 2 {
 		t.Errorf("the store answered %d plans, want group A's 2 stored ones", hits)
+	}
+
+	// A register-file class (see package sample): members that differ
+	// only in PhysRegs, submitted before their leader. The leader's file
+	// (128) never fills; its peak M over all intervals bounds every
+	// interval's. A member at M+1 and an exact duplicate of the leader
+	// are answered from its runs on every interval; one at 34 registers,
+	// below every interval's peak, is simulated on each.
+	leader := jobs[groupA[0]]
+	leader.Label, leader.Machine.PhysRegs = "class leader", 128
+	peak := simulateSampled(session.New(), leader, so).Stats.MaxPhysInUse
+	if peak >= leader.Machine.PhysRegs {
+		t.Fatalf("the leader's %d-register file filled", leader.Machine.PhysRegs)
+	}
+	member := func(label string, phys int) session.Job {
+		j := leader
+		j.Label, j.Machine.PhysRegs = label, phys
+		return j
+	}
+	// solo and check read jobs.
+	jobs = []session.Job{member("class below", 34), member("class above", peak+1), leader, member("class duplicate", 128)}
+	classSolo := solo(so)
+	for _, workers := range []int{1, 8} {
+		sess := session.New(session.WithWorkers(workers))
+		check(fmt.Sprintf("class at %d workers", workers), sess, so, classSolo)
+		if workers > 1 {
+			continue // which followers find their leader finished varies
+		}
+		ps := sess.PoolStats()
+		if taken, want := ps.MachineReuse+ps.MachineFresh, 2*int64(classSolo[2].Measured); taken != want {
+			t.Errorf("the class took %d machines, want %d: the leader's and the 34-register member's intervals",
+				taken, want)
+		}
 	}
 }
 
