@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +19,6 @@ import (
 	"dvi/internal/isa"
 	"dvi/internal/prog"
 	"dvi/internal/rewrite"
-	"dvi/internal/session"
 	"dvi/internal/workload"
 )
 
@@ -42,17 +40,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q; have %v\n", *bench, workload.Names())
 		os.Exit(2)
 	}
-	bopts := []session.RunOption{
-		session.WithScale(*scale),
-		session.WithEDVI(!*noEDVI),
-	}
-	if *infer {
-		bopts = append(bopts, session.WithInferredDVI())
-	}
+	bopt := workload.BuildOptions{EDVI: !*noEDVI, Infer: *infer}
 	if *atDeath {
-		bopts = append(bopts, session.WithPolicy(rewrite.KillsAtDeath))
+		bopt.Policy = rewrite.KillsAtDeath
 	}
-	pr, img, err := session.New(session.WithWorkers(1)).Build(context.Background(), spec, bopts...)
+	pr, img, err := workload.CompileSpec(spec, *scale, bopt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

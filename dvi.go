@@ -101,28 +101,19 @@ type (
 
 	// Session is the orchestration layer: a long-lived, concurrency-safe
 	// handle owning one execution engine, its single-flight build cache,
-	// and the pooled machine/emulator instances. Every front door — the
+	// and the pooled machine/emulator instances. Every run — the
 	// one-shot functions here, the harness and CLIs, the HTTP service —
-	// routes through a Session. Construct with NewSession; the one-shot
-	// facade functions share a lazily-initialized DefaultSession.
+	// is a RunnerJob submitted to a Session (Run, Collect,
+	// CollectSampled). Construct with NewSession; the one-shot facade
+	// functions share a lazily-initialized DefaultSession.
 	Session = session.Session
 	// SessionOption configures a Session at construction time
 	// (WithWorkers, WithCacheCapacity, WithProgress, WithCompile).
 	SessionOption = session.Option
-	// RunOption configures one Session call (WithScale, WithDVILevel,
-	// WithScheme, WithMachineConfig, ...).
-	RunOption = session.RunOption
-	// CompileFunc compiles one benchmark flavour; sessions, runners and
-	// the service accept overrides for testing.
+	// CompileFunc compiles one benchmark flavour; sessions and the
+	// service accept overrides for testing.
 	CompileFunc = runner.CompileFunc
 
-	// Runner is the experiment execution engine: a bounded worker pool
-	// over a memoizing, single-flight build cache. Results come back in
-	// submission order, so anything rendered from them is deterministic
-	// at any worker count.
-	Runner = runner.Engine
-	// RunnerOptions configures a Runner (workers, progress, compile).
-	RunnerOptions = runner.Options
 	// RunnerJob is one unit of experiment work: which binary to build or
 	// fetch from the cache, and what to run it on.
 	RunnerJob = runner.Job
@@ -262,55 +253,13 @@ var (
 	WithCompile = session.WithCompile
 )
 
-// Per-call run options for Session methods.
-var (
-	// WithScale multiplies the workload's iteration count.
-	WithScale = session.WithScale
-	// WithMachineConfig replaces the timing-machine configuration.
-	WithMachineConfig = session.WithMachineConfig
-	// WithEmulatorConfig replaces the functional-emulator configuration.
-	WithEmulatorConfig = session.WithEmulatorConfig
-	// WithDVILevel selects which DVI sources the hardware honours.
-	WithDVILevel = session.WithDVILevel
-	// WithScheme selects the save/restore elimination scheme.
-	WithScheme = session.WithScheme
-	// WithMaxInsts caps the run's instruction count.
-	WithMaxInsts = session.WithMaxInsts
-	// WithEDVI forces the binary flavour, overriding the central
-	// level-derived rule.
-	WithEDVI = session.WithEDVI
-	// WithPolicy selects the kill placement policy for annotated builds.
-	WithPolicy = session.WithPolicy
-	// WithInterval sets the context-switch sampling interval.
-	WithInterval = session.WithInterval
-	// WithFreshBuild compiles a private, mutable copy outside the cache.
-	WithFreshBuild = session.WithFreshBuild
-	// WithLabel names the call in progress output and errors.
-	WithLabel = session.WithLabel
-	// WithSampling switches Simulate to statistical sampling: a fast
-	// functional pass captures checkpoints, selected intervals run in
-	// detail in parallel, and the result is an estimate with a
-	// confidence interval (see SimulateSampled for the full estimate).
-	WithSampling = session.WithSampling
-	// WithSamplingOptions is WithSampling with full control of the plan.
-	WithSamplingOptions = session.WithSamplingOptions
-	// WithContexts runs N SMT hardware contexts — each executing its own
-	// copy of the workload — through one shared core. Per-context stats
-	// come from Session.SimulateContexts; the machine needs 32·N+1 or
-	// more physical registers.
-	WithContexts = session.WithContexts
-	// WithFetchPolicy selects the multi-context fetch arbitration
-	// (FetchRoundRobin or FetchICOUNT).
-	WithFetchPolicy = session.WithFetchPolicy
-)
-
 var (
 	defaultSessionOnce sync.Once
 	defaultSession     *Session
 )
 
 // DefaultSession returns the lazily-initialized Session behind the
-// package's one-shot functions (Simulate, Emulate, Build). Because they
+// package's one-shot runs (Simulate, SimulateSampled, Emulate). Because they
 // share it, repeated one-shot calls hit its build cache and simulator
 // pools instead of recompiling: the first Simulate of a flavour pays the
 // compile, the rest reuse it.
@@ -336,35 +285,64 @@ func Workloads() []Workload { return workload.All() }
 // "vortex", "perl", "gcc").
 func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
 
-// Build compiles and links one workload through the default Session. With
-// edvi true the binary carries kill annotations (the paper's
-// DVI-annotated executable). The artifacts are a private, mutable copy —
-// callers may rewrite and re-link them — so Build always compiles; use
-// Session.Build for cached, shared, read-only artifacts.
+// BuildOptionsFor derives the binary flavour from a DVI level: E-DVI
+// annotated binaries exactly for full DVI, plain ones for none and
+// I-DVI. A RunnerJob takes its Build from here.
+func BuildOptionsFor(level DVILevel) BuildOptions { return session.BuildOptionsFor(level) }
+
+// EmuConfigFor assembles the emulator configuration for a DVI level and
+// elimination scheme; at I-DVI it carries the calling convention's
+// implicit kills.
+func EmuConfigFor(level DVILevel, scheme Scheme) EmulatorConfig {
+	return session.EmuConfigFor(level, scheme)
+}
+
+// Build compiles and links one workload. With edvi true the binary
+// carries kill annotations (the paper's DVI-annotated executable). The
+// artifacts are a private, mutable copy — callers may rewrite and
+// re-link them — so Build always compiles; a Build-kind RunnerJob
+// returns the session's cached, shared, read-only artifacts.
 func Build(w Workload, scale int, edvi bool) (*Program, *Image, error) {
-	return DefaultSession().Build(context.Background(), w,
-		session.WithScale(scale), session.WithEDVI(edvi), session.WithFreshBuild())
+	return workload.CompileSpec(w, scale, BuildOptions{EDVI: edvi})
 }
 
 // Simulate builds a workload (with E-DVI annotations when the machine's
-// DVI level honours them; see the session layer's BuildOptionsFor rule)
-// and runs it on the timing simulator. It routes through the default
-// Session: repeated calls share one compile per binary flavour and reuse
-// pooled machine instances.
+// DVI level honours them; see BuildOptionsFor) and runs it on the timing
+// simulator. It routes through the default Session: repeated calls share
+// one compile per binary flavour and reuse pooled machine instances. A
+// machine that fails its Check is refused before any build.
 func Simulate(w Workload, scale int, cfg MachineConfig) (MachineStats, error) {
-	return DefaultSession().Simulate(context.Background(), w,
-		session.WithScale(scale), session.WithMachineConfig(cfg))
+	if err := cfg.Check(); err != nil {
+		return MachineStats{}, err
+	}
+	out, err := DefaultSession().Collect(context.Background(), []RunnerJob{timingJob(w, scale, cfg)})
+	if err != nil {
+		return MachineStats{}, err
+	}
+	return out[0].Timing, nil
 }
 
 // SimulateSampled estimates a workload's timing by statistical sampling
 // through the default Session: checkpointed intervals are simulated in
 // detail on the worker pool and combined into a whole-program estimate
 // with a confidence interval. Architectural counts (eliminations, kills,
-// faults) are exact; cycles and IPC carry the reported error bound.
+// faults) are exact; cycles and IPC carry the reported error bound. The
+// machine must pass its Check, run one context (a checkpoint restores
+// one architectural state) and carry no trace sink.
 func SimulateSampled(w Workload, scale int, cfg MachineConfig, opt SamplingOptions) (SampledEstimate, error) {
-	return DefaultSession().SimulateSampled(context.Background(), w,
-		session.WithScale(scale), session.WithMachineConfig(cfg),
-		session.WithSamplingOptions(opt))
+	if err := sample.CheckMachine(cfg); err != nil {
+		return SampledEstimate{}, err
+	}
+	out, err := DefaultSession().CollectSampled(context.Background(), []RunnerJob{timingJob(w, scale, cfg)}, opt)
+	if err != nil {
+		return SampledEstimate{}, err
+	}
+	return *out[0].Sampled, nil
+}
+
+// timingJob is the one-shot timing run of w on cfg.
+func timingJob(w Workload, scale int, cfg MachineConfig) RunnerJob {
+	return RunnerJob{Workload: w, Scale: scale, Build: BuildOptionsFor(cfg.Emu.DVI.Level), Kind: JobTiming, Machine: cfg}
 }
 
 // NewMachine builds a simulator over an already-linked program.
@@ -377,8 +355,7 @@ func NewMachine(pr *Program, img *Image, cfg MachineConfig) *Machine {
 // from the default Session's build cache (flavour derived from cfg's DVI
 // level); the emulator itself is fresh so the caller owns it.
 func Emulate(w Workload, scale int, cfg EmulatorConfig) (*Emulator, error) {
-	pr, img, err := DefaultSession().Build(context.Background(), w,
-		session.WithScale(scale), session.WithEmulatorConfig(cfg))
+	pr, img, err := DefaultSession().Cache().Get(context.Background(), w, scale, BuildOptionsFor(cfg.DVI.Level))
 	if err != nil {
 		return nil, err
 	}
@@ -419,10 +396,6 @@ func DefaultRegfileTiming() RegfileTiming { return cacti.Default() }
 
 // DefaultExperimentOptions sizes the experiments to finish in minutes.
 func DefaultExperimentOptions() ExperimentOptions { return harness.DefaultOptions() }
-
-// NewRunner builds an experiment engine. One engine should serve a whole
-// report so every figure shares its memoized build cache.
-func NewRunner(opt RunnerOptions) *Runner { return runner.New(opt) }
 
 // ExperimentIDs returns every selectable experiment ID in report order
 // (the nine paper figures followed by the ablations).

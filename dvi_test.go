@@ -3,10 +3,13 @@ package dvi_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"dvi"
+	"dvi/internal/obs"
+	"dvi/internal/sample"
 )
 
 func TestFacadeSimulate(t *testing.T) {
@@ -26,6 +29,18 @@ func TestFacadeSimulate(t *testing.T) {
 	if stats.ElimSaves == 0 {
 		t.Error("full-DVI machine eliminated no saves on gcc")
 	}
+
+	// A machine that cannot run is refused before any build.
+	cache := dvi.DefaultSession().Cache()
+	_, before := cache.Stats()
+	bad := cfg
+	bad.WindowSize = -1
+	if _, err := dvi.Simulate(w, 7, bad); err == nil || !strings.Contains(err.Error(), "window_size") {
+		t.Errorf("Simulate with window -1: err = %v, want a window_size error", err)
+	}
+	if _, after := cache.Stats(); after != before {
+		t.Errorf("a refused machine compiled %d binaries", after-before)
+	}
 }
 
 func TestFacadeSimulateContexts(t *testing.T) {
@@ -34,12 +49,19 @@ func TestFacadeSimulateContexts(t *testing.T) {
 		t.Fatal("li workload missing")
 	}
 	sess := dvi.NewSession()
-	agg, ctxStats, err := sess.SimulateContexts(context.Background(), w,
-		dvi.WithContexts(2), dvi.WithFetchPolicy(dvi.FetchICOUNT),
-		dvi.WithMaxInsts(30_000))
+	cfg := dvi.DefaultMachineConfig()
+	cfg.MaxInsts = 30_000
+	smt := cfg
+	smt.Contexts, smt.FetchPolicy = 2, dvi.FetchICOUNT
+	job := func(cfg dvi.MachineConfig) dvi.RunnerJob {
+		return dvi.RunnerJob{Workload: w, Scale: 1, Build: dvi.BuildOptionsFor(cfg.Emu.DVI.Level),
+			Kind: dvi.JobTiming, Machine: cfg}
+	}
+	res, err := sess.Collect(context.Background(), []dvi.RunnerJob{job(smt), job(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg, ctxStats := res[0].Timing, res[0].CtxStats
 	if len(ctxStats) != 2 {
 		t.Fatalf("%d per-context stats, want 2", len(ctxStats))
 	}
@@ -56,18 +78,8 @@ func TestFacadeSimulateContexts(t *testing.T) {
 
 	// Single-context machines answer with a nil breakdown, matching the
 	// wire format's omitted ctx_stats.
-	_, single, err := sess.SimulateContexts(context.Background(), w, dvi.WithMaxInsts(30_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single != nil {
+	if single := res[1].CtxStats; single != nil {
 		t.Errorf("single-context breakdown = %v, want nil", single)
-	}
-
-	// Sampling is single-context; the multi-context front door rejects it.
-	if _, _, err := sess.SimulateContexts(context.Background(), w,
-		dvi.WithContexts(2), dvi.WithSampling(4000, 1000, 0)); err == nil {
-		t.Error("SimulateContexts accepted a sampling request")
 	}
 }
 
@@ -99,9 +111,15 @@ func TestFacadeSimulateSampled(t *testing.T) {
 	}
 	// Sampling is single-context: a 2-context machine is an error, not a
 	// panic in a worker.
-	cfg.Contexts = 2
-	if _, err := dvi.SimulateSampled(w, 1, cfg, dvi.SamplingOptions{}); err == nil {
+	smt := cfg
+	smt.Contexts = 2
+	if _, err := dvi.SimulateSampled(w, 1, smt, dvi.SamplingOptions{}); err == nil {
 		t.Error("SimulateSampled accepted a 2-context machine")
+	}
+	// Every interval job would write into a machine's one trace sink.
+	cfg.Trace = obs.NewPipeBuffer(0)
+	if _, err := dvi.SimulateSampled(w, 1, cfg, dvi.SamplingOptions{}); !errors.Is(err, sample.ErrTraced) {
+		t.Errorf("SimulateSampled on a traced machine: err = %v, want sample.ErrTraced", err)
 	}
 }
 
@@ -138,6 +156,91 @@ func TestFacadeBuildAndRewrite(t *testing.T) {
 	}
 	if img2.TextWords() != img.TextWords()+n {
 		t.Errorf("code grew by %d, want %d", img2.TextWords()-img.TextWords(), n)
+	}
+
+	// Build hands out a private copy: the rewrite above reached neither
+	// a later Build nor the shared build cache.
+	again, againImg, err := dvi.Build(w, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, cachedImg, err := dvi.DefaultSession().Cache().Get(context.Background(), w, 1, dvi.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == pr || cached == pr || cached == again {
+		t.Error("Build returned shared artifacts")
+	}
+	if againImg.TextWords() != img.TextWords() || cachedImg.TextWords() != img.TextWords() {
+		t.Errorf("rewritten program leaked: later builds hold %d and %d words, want %d",
+			againImg.TextWords(), cachedImg.TextWords(), img.TextWords())
+	}
+}
+
+// TestFacadeOneShotsDeriveFlavour pins the E-DVI rule at the one-shots:
+// Simulate and Emulate compile the plain binary at none and I-DVI and
+// the E-DVI one at full, leaving it in the default Session's cache. Each
+// call gets a scale of its own, so only that call can have compiled the
+// key it is then asked for.
+func TestFacadeOneShotsDeriveFlavour(t *testing.T) {
+	w, _ := dvi.WorkloadByName("vortex")
+	cache := dvi.DefaultSession().Cache()
+	scale := 0
+	compiled := func(name string, level dvi.DVILevel, run func(scale int) error) {
+		t.Helper()
+		scale++
+		if err := run(scale); err != nil {
+			t.Fatalf("%s at %v: %v", name, level, err)
+		}
+		_, before := cache.Stats()
+		if _, _, err := cache.Get(context.Background(), w, scale, dvi.BuildOptionsFor(level)); err != nil {
+			t.Fatal(err)
+		}
+		if _, after := cache.Stats(); after != before {
+			t.Errorf("%s at %v did not compile its level's flavour %v", name, level, dvi.BuildOptionsFor(level))
+		}
+	}
+	for _, level := range []dvi.DVILevel{dvi.DVINone, dvi.DVIIDVI, dvi.DVIFull} {
+		cfg := dvi.DefaultMachineConfig()
+		cfg.Emu = dvi.EmuConfigFor(level, dvi.ElimLVMStack)
+		cfg.MaxInsts = 5_000
+		compiled("Simulate", level, func(scale int) error {
+			_, err := dvi.Simulate(w, scale, cfg)
+			return err
+		})
+		compiled("Emulate", level, func(scale int) error {
+			_, err := dvi.Emulate(w, scale, cfg.Emu)
+			return err
+		})
+	}
+}
+
+// TestFacadeSimulateAsmWorkload runs a workload given as assembly: the
+// text of li's plain build, on a machine without DVI, commits exactly
+// what li does. A workload with neither an IR builder nor assembly is
+// an error, not a crashed worker.
+func TestFacadeSimulateAsmWorkload(t *testing.T) {
+	li, _ := dvi.WorkloadByName("li")
+	pr, _, err := dvi.Build(li, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := dvi.DefaultMachineConfig()
+	cfg.Emu = dvi.EmuConfigFor(dvi.DVINone, dvi.ElimOff)
+	cfg.MaxInsts = 10_000
+	want, err := dvi.Simulate(li, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dvi.Simulate(dvi.Workload{Name: "li-asm", Asm: dvi.FormatAsm(pr)}, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("assembly workload stats differ from li's:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := dvi.Simulate(dvi.Workload{}, 1, cfg); err == nil {
+		t.Error("Simulate accepted a workload with no program")
 	}
 }
 
@@ -228,11 +331,11 @@ func TestFacadeSimulateCompilesOnce(t *testing.T) {
 }
 
 func TestFacadeRunnerSharesBuilds(t *testing.T) {
-	eng := dvi.NewRunner(dvi.RunnerOptions{Workers: 4})
+	sess := dvi.NewSession(dvi.WithWorkers(4))
 	w, _ := dvi.WorkloadByName("gcc")
 	cfg := dvi.DefaultMachineConfig()
 	cfg.MaxInsts = 20_000
-	res, err := eng.Run(context.Background(), []dvi.RunnerJob{
+	res, err := sess.Collect(context.Background(), []dvi.RunnerJob{
 		{Workload: w, Scale: 1, Kind: dvi.JobBuild},
 		{Workload: w, Scale: 1, Kind: dvi.JobTiming, Machine: cfg},
 	})
@@ -245,7 +348,7 @@ func TestFacadeRunnerSharesBuilds(t *testing.T) {
 	if res[1].Timing.Committed == 0 {
 		t.Error("timing job produced no stats")
 	}
-	if _, misses := eng.Cache().Stats(); misses != 1 {
+	if _, misses := sess.Cache().Stats(); misses != 1 {
 		t.Errorf("compiled %d binaries for one key, want 1", misses)
 	}
 }

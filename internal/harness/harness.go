@@ -15,10 +15,10 @@ import (
 
 	"dvi/internal/core"
 	"dvi/internal/emu"
-	"dvi/internal/isa"
 	"dvi/internal/ooo"
 	"dvi/internal/runner"
 	"dvi/internal/sample"
+	"dvi/internal/session"
 )
 
 // Options scales the experiments.
@@ -161,14 +161,6 @@ var dviLevels = []core.Level{core.None, core.IDVI, core.Full}
 func timingConfig(level core.Level, scheme emu.Scheme, budget uint64) ooo.Config {
 	cfg := ooo.DefaultConfig()
 	cfg.MaxInsts = budget
-	cfg.Emu.Scheme = scheme
-	switch level {
-	case core.None:
-		cfg.Emu.DVI = core.Config{Level: core.None}
-	case core.IDVI:
-		cfg.Emu.DVI = core.Config{Level: core.IDVI, ABI: isa.DefaultABI()}
-	default:
-		cfg.Emu.DVI = core.DefaultConfig()
-	}
+	cfg.Emu = session.EmuConfigFor(level, scheme)
 	return cfg
 }

@@ -122,11 +122,11 @@ func (c Config) ContextCount() int {
 }
 
 // limits is the one table of machine ranges: every Config field a wire
-// request or a session option can set, by its wire name, with the
-// inclusive range Check admits. The ranges admit every machine the
-// figures, the CLIs and the benchmarks build; the caps keep one request
-// from sizing the window, the fetch queues or the completion times far
-// beyond what the simulator is tested at.
+// request can set, by its wire name, with the inclusive range Check
+// admits. The ranges admit every machine the figures, the CLIs and the
+// benchmarks build; the caps keep one request from sizing the window,
+// the fetch queues or the completion times far beyond what the
+// simulator is tested at.
 var limits = []struct {
 	name   string
 	field  func(*Config) int

@@ -48,8 +48,6 @@ import (
 	"time"
 
 	"dvi/internal/obs"
-	"dvi/internal/prog"
-	"dvi/internal/rewrite"
 	"dvi/internal/runner"
 	"dvi/internal/session"
 	"dvi/internal/store"
@@ -119,8 +117,8 @@ type Config struct {
 	// (<=0 = DefaultMaxJobs).
 	MaxJobs int
 	// Compile overrides the workload build function; nil uses
-	// workload.CompileSpec. Client-assembly sources are always handled
-	// by the service itself. Tests use this to count or stall builds.
+	// workload.CompileSpec. It receives every spec, client-assembly ones
+	// included. Tests use this to count or stall builds.
 	Compile runner.CompileFunc
 	// Logger receives structured request logs (nil = discard). Normal
 	// requests log at Debug, server errors at Warn.
@@ -151,7 +149,7 @@ type Server struct {
 	met      metrics
 	adm      *admission
 	start    time.Time
-	compile  runner.CompileFunc // resolved Config.Compile (benchmark specs)
+	compile  runner.CompileFunc // resolved Config.Compile
 	log      *slog.Logger
 	rec      *obs.Recorder // recent request span trees (may be nil)
 	reqID    atomic.Uint64 // request-ID counter for generated X-Request-Id values
@@ -223,7 +221,7 @@ func New(cfg Config) *Server {
 	s.sess = session.New(
 		session.WithWorkers(cfg.Workers),
 		session.WithCacheCapacity(cfg.CacheCapacity),
-		session.WithCompile(s.compileFor(s.compile)),
+		session.WithCompile(cfg.Compile),
 		session.WithStore(cfg.Store),
 	)
 	s.eng = s.sess.Engine()
@@ -524,37 +522,6 @@ func (s *Server) asmSpec(asm string) workload.Spec {
 		Name:     asmPrefix + hex.EncodeToString(sum[:12]),
 		Describe: "client-submitted assembly",
 		Asm:      asm,
-	}
-}
-
-// compileFor adapts the engine's compile function: benchmark specs build
-// through base (workload.CompileSpec unless overridden), client-assembly
-// specs parse, optionally annotate, and link the submitted text. Either
-// way the artifacts land in the shared single-flight build cache.
-func (s *Server) compileFor(base runner.CompileFunc) runner.CompileFunc {
-	return func(sp workload.Spec, scale int, opt workload.BuildOptions) (*prog.Program, *prog.Image, error) {
-		if sp.Asm == "" {
-			return base(sp, scale, opt)
-		}
-		pr, err := prog.ParseAsm(sp.Asm)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case opt.Infer:
-			if _, err := rewrite.Infer(pr, rewrite.Options{Policy: opt.Policy}); err != nil {
-				return nil, nil, err
-			}
-		case opt.EDVI:
-			if _, err := rewrite.InsertKills(pr, rewrite.Options{Policy: opt.Policy}); err != nil {
-				return nil, nil, err
-			}
-		}
-		img, err := pr.Link()
-		if err != nil {
-			return nil, nil, err
-		}
-		return pr, img, nil
 	}
 }
 

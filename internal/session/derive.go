@@ -34,21 +34,3 @@ func EmuConfigFor(level core.Level, scheme emu.Scheme) emu.Config {
 	}
 	return cfg
 }
-
-// buildOptions resolves the per-call binary flavour: the central rule
-// applied to the effective DVI level, a kill-placement policy, and an
-// explicit WithEDVI override when the caller forces a flavour.
-func (rs *runSettings) buildOptions(level core.Level) workload.BuildOptions {
-	bopt := BuildOptionsFor(level)
-	bopt.Policy = rs.policy
-	if rs.edvi != nil {
-		bopt.EDVI = *rs.edvi
-	}
-	if rs.infer && level == core.Full {
-		// Inferred annotations replace the compiler-assisted ones; like
-		// the E-DVI rule, only annotation-honouring hardware gets them.
-		bopt.Infer = true
-		bopt.EDVI = false
-	}
-	return bopt
-}

@@ -1,7 +1,6 @@
 package session_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -19,8 +18,8 @@ import (
 // bit-identical to the one computed live.
 func TestSampledPersistenceBitIdentical(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
 	w, _ := workload.ByName("go")
+	job := schemeJob(w, emu.ElimLVMStack)
 	so := samplingTestOpts()
 
 	run := func() (sample.Estimate, *store.Store) {
@@ -29,14 +28,7 @@ func TestSampledPersistenceBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := session.New(session.WithStore(st))
-		est, err := sess.SimulateSampled(ctx, w,
-			session.WithScheme(emu.ElimLVMStack),
-			session.WithSamplingOptions(so))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return est, st
+		return sampledAlone(t, session.New(session.WithStore(st)), job, so), st
 	}
 
 	cold, st1 := run()
@@ -62,15 +54,9 @@ func TestSampledPersistenceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := session.New(session.WithStore(st3))
 	other := so
 	other.Period = so.Period * 2
-	est, err := sess.SimulateSampled(ctx, w,
-		session.WithScheme(emu.ElimLVMStack),
-		session.WithSamplingOptions(other))
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := sampledAlone(t, session.New(session.WithStore(st3)), job, other)
 	if reflect.DeepEqual(est, cold) {
 		t.Error("distinct sampling plans produced identical estimates — key collision?")
 	}

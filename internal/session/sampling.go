@@ -18,59 +18,6 @@ import (
 	"dvi/internal/workload"
 )
 
-// WithSampling switches Simulate (and jobs routed through CollectSampled)
-// from exact detailed simulation to statistical sampling: one fast
-// functional pass captures checkpoints, the selected intervals are
-// simulated in detail as parallel jobs, and the result is an estimate
-// with a confidence interval. interval and warmup are in original
-// instructions (0 picks the package defaults); targetCI, when positive,
-// makes the sampler densify the measured set — halving the selection
-// period round by round — until the estimate's relative CI half-width
-// reaches the target.
-func WithSampling(interval, warmup uint64, targetCI float64) RunOption {
-	return WithSamplingOptions(sample.Options{
-		Interval: interval,
-		Warmup:   warmup,
-		TargetCI: targetCI,
-	})
-}
-
-// WithSamplingOptions is WithSampling with full control of the plan
-// (period, seed).
-func WithSamplingOptions(opt sample.Options) RunOption {
-	return func(rs *runSettings) { rs.sampling = &opt }
-}
-
-// SimulateSampled runs a workload through the statistical sampler and
-// returns the full estimate (Simulate with WithSampling returns only the
-// rendered machine stats). Sampling options come from WithSampling /
-// WithSamplingOptions, or the defaults when absent. The machine must pass
-// sample.CheckMachine: ooo.Config.Check, one context (a checkpoint
-// restores one architectural state) and no trace sink.
-func (s *Session) SimulateSampled(ctx context.Context, w workload.Spec, opts ...RunOption) (sample.Estimate, error) {
-	rs := resolve(opts)
-	cfg := rs.machineConfig()
-	if err := sample.CheckMachine(cfg); err != nil {
-		return sample.Estimate{}, err
-	}
-	so := sample.Options{}
-	if rs.sampling != nil {
-		so = *rs.sampling
-	}
-	out, err := s.sampleGroup(ctx, []Job{{
-		Label:    rs.label,
-		Workload: w,
-		Scale:    rs.scale,
-		Build:    rs.buildOptions(cfg.Emu.DVI.Level),
-		Kind:     runner.Timing,
-		Machine:  cfg,
-	}}, so)
-	if err != nil {
-		return sample.Estimate{}, err
-	}
-	return *out[0].Sampled, nil
-}
-
 // CollectSampled is Collect with every single-context Timing job routed
 // through the statistical sampler under so: each such result carries the
 // estimate on Result.Sampled and the estimate rendered as machine stats

@@ -28,6 +28,25 @@ func samplingTestOpts() sample.Options {
 	return sample.Options{Interval: 4000, Warmup: 1000, Period: 4}
 }
 
+// schemeJob is the paper machine at full DVI under scheme, running w to
+// completion.
+func schemeJob(w workload.Spec, scheme emu.Scheme) session.Job {
+	cfg := ooo.DefaultConfig()
+	cfg.Emu.Scheme = scheme
+	return timingJob(w, cfg)
+}
+
+// sampledAlone runs j through the sampler as a batch of its own: the
+// solo estimate every shared scan must reproduce.
+func sampledAlone(t *testing.T, sess *session.Session, j session.Job, so sample.Options) sample.Estimate {
+	t.Helper()
+	out, err := sess.CollectSampled(context.Background(), []session.Job{j}, so)
+	if err != nil {
+		t.Fatalf("%s alone: %v", j.Workload.Key(j.Scale, j.Build), err)
+	}
+	return *out[0].Sampled
+}
+
 // TestSampledAccuracyAcrossSuite is the headline acceptance gate: on
 // every workload and elimination scheme, the sampled IPC estimate lands
 // within its own reported confidence interval of the exact detailed IPC,
@@ -43,17 +62,13 @@ func TestSampledAccuracyAcrossSuite(t *testing.T) {
 
 	for _, w := range workload.All() {
 		for _, scheme := range schemes {
-			so := samplingTestOpts()
-			est, err := sess.SimulateSampled(ctx, w,
-				session.WithScheme(scheme),
-				session.WithSamplingOptions(so))
-			if err != nil {
-				t.Fatalf("%s/%v: sampled: %v", w.Name, scheme, err)
-			}
-			exact, err := sess.Simulate(ctx, w, session.WithScheme(scheme))
+			job := schemeJob(w, scheme)
+			est := sampledAlone(t, sess, job, samplingTestOpts())
+			out, err := sess.Collect(ctx, []session.Job{job})
 			if err != nil {
 				t.Fatalf("%s/%v: exact: %v", w.Name, scheme, err)
 			}
+			exact := out[0].Timing
 			if diff := math.Abs(est.IPC - exact.IPC()); diff > est.CIHalfWidth {
 				t.Errorf("%s/%v: estimate %.4f off exact %.4f by %.4f, CI half-width %.4f",
 					w.Name, scheme, est.IPC, exact.IPC(), diff, est.CIHalfWidth)
@@ -80,20 +95,12 @@ func TestSampledAccuracyAcrossSuite(t *testing.T) {
 // determinism contract: the same plan yields bit-identical estimates at
 // one worker and at eight.
 func TestSampledDeterministicAcrossWorkerCounts(t *testing.T) {
-	ctx := context.Background()
 	w, _ := workload.ByName("go")
-	so := samplingTestOpts()
+	job := schemeJob(w, emu.ElimLVMStack)
 
 	run := func(workers int) sample.Estimate {
 		t.Helper()
-		sess := session.New(session.WithWorkers(workers))
-		est, err := sess.SimulateSampled(ctx, w,
-			session.WithScheme(emu.ElimLVMStack),
-			session.WithSamplingOptions(so))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return est
+		return sampledAlone(t, session.New(session.WithWorkers(workers)), job, samplingTestOpts())
 	}
 
 	one := run(1)
@@ -109,50 +116,20 @@ func TestSampledDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSimulateRoutesThroughSampler pins that WithSampling changes
-// Simulate's path: the returned stats are the estimate's rendering
-// (identical to SimulateSampled's Stats), not an exact run.
-func TestSimulateRoutesThroughSampler(t *testing.T) {
-	ctx := context.Background()
-	sess := session.New()
-	w, _ := workload.ByName("li")
-	so := samplingTestOpts()
-
-	est, err := sess.SimulateSampled(ctx, w, session.WithSamplingOptions(so))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSimulate, err := sess.Simulate(ctx, w, session.WithSamplingOptions(so))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSimulate != est.Stats {
-		t.Errorf("Simulate(WithSampling) = %+v\nwant %+v", viaSimulate, est.Stats)
-	}
-}
-
 // TestSampledTargetCIDensifies pins adaptive densification: demanding a
 // tighter CI than the initial sparse plan delivers makes the sampler
 // measure more intervals, and the final estimate reports a CI no wider
 // than the target (or a full census).
 func TestSampledTargetCIDensifies(t *testing.T) {
-	ctx := context.Background()
 	sess := session.New()
 	w, _ := workload.ByName("go")
+	job := timingJob(w, ooo.DefaultConfig())
 
-	loose, err := sess.SimulateSampled(ctx, w,
-		session.WithSamplingOptions(sample.Options{Interval: 4000, Warmup: 1000, Period: 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := sess.SimulateSampled(ctx, w,
-		session.WithSamplingOptions(sample.Options{
-			Interval: 4000, Warmup: 1000, Period: 8,
-			TargetCI: loose.RelCI * 0.9,
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loose := sampledAlone(t, sess, job, sample.Options{Interval: 4000, Warmup: 1000, Period: 8})
+	tight := sampledAlone(t, sess, job, sample.Options{
+		Interval: 4000, Warmup: 1000, Period: 8,
+		TargetCI: loose.RelCI * 0.9,
+	})
 	if tight.Measured <= loose.Measured {
 		t.Errorf("target CI %.4f did not densify: measured %d, loose plan measured %d",
 			loose.RelCI*0.9, tight.Measured, loose.Measured)
@@ -223,26 +200,22 @@ func TestCollectSampledMixedBatch(t *testing.T) {
 	}
 }
 
-// TestSampledFrontDoorsCheckMachine sends the sampler's front doors
-// machines it cannot run: two contexts, a 65-entry LVM-Stack and a
-// negative window. Each answers an error that names the problem, before
-// any build, where they used to panic in a worker and end the process.
+// TestSampledFrontDoorsCheckMachine sends the sampler machines it
+// cannot run: a 65-entry LVM-Stack and a negative window. Each answers
+// an error that names the problem, before any build, where they used to
+// panic in a worker and end the process. (A 2-context machine is no
+// sampled job: CollectSampled runs it exactly.)
 func TestSampledFrontDoorsCheckMachine(t *testing.T) {
 	ctx := context.Background()
 	rc := &recordingCompile{}
 	sess := session.New(session.WithCompile(rc.fn()), session.WithWorkers(2))
 	li, _ := workload.ByName("li")
-	plan := session.WithSamplingOptions(samplingTestOpts())
 
-	if _, err := sess.SimulateSampled(ctx, li, plan, session.WithContexts(2)); err == nil ||
-		!strings.Contains(err.Error(), "single-context") {
-		t.Errorf("SimulateSampled at 2 contexts: err = %v, want the single-context error", err)
-	}
 	deep := ooo.DefaultConfig()
 	deep.Emu.DVI.StackDepth = 65
-	if _, err := sess.SimulateSampled(ctx, li, plan, session.WithMachineConfig(deep)); err == nil ||
+	if _, err := sess.CollectSampled(ctx, []session.Job{timingJob(li, deep)}, samplingTestOpts()); err == nil ||
 		!strings.Contains(err.Error(), "stack_depth") {
-		t.Errorf("SimulateSampled with stack depth 65: err = %v, want a stack_depth error", err)
+		t.Errorf("CollectSampled with stack depth 65: err = %v, want a stack_depth error", err)
 	}
 	good := ooo.DefaultConfig()
 	bad := ooo.DefaultConfig()
@@ -260,10 +233,10 @@ func TestSampledFrontDoorsCheckMachine(t *testing.T) {
 	}
 }
 
-// TestSampledFrontDoorsRefuseTrace sends the sampler's front doors a
-// traced machine. Every interval job would emit into its one trace
-// buffer at once, and the buffer has no lock; each front door answers
-// sample.ErrTraced instead, before any build.
+// TestSampledFrontDoorsRefuseTrace sends the sampler a traced machine.
+// Every interval job would emit into its one trace buffer at once, and
+// the buffer has no lock; CollectSampled answers sample.ErrTraced
+// instead, before any build.
 func TestSampledFrontDoorsRefuseTrace(t *testing.T) {
 	ctx := context.Background()
 	rc := &recordingCompile{}
@@ -273,10 +246,6 @@ func TestSampledFrontDoorsRefuseTrace(t *testing.T) {
 	traced.MaxInsts = 200_000
 	traced.Trace = obs.NewPipeBuffer(0)
 
-	if _, err := sess.SimulateSampled(ctx, compress, session.WithMachineConfig(traced),
-		session.WithSampling(4000, 1000, 0)); !errors.Is(err, sample.ErrTraced) {
-		t.Errorf("SimulateSampled on a traced machine: err = %v, want sample.ErrTraced", err)
-	}
 	jobs := []session.Job{{Label: "traced", Workload: compress, Scale: 1,
 		Build: session.BuildOptionsFor(core.Full), Kind: runner.Timing, Machine: traced}}
 	if _, err := sess.CollectSampled(ctx, jobs, samplingTestOpts()); !errors.Is(err, sample.ErrTraced) ||
@@ -329,21 +298,12 @@ func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
 	jobs, groupA := groupGrid(80_000)
 	so := samplingTestOpts()
 
-	simulateSampled := func(sess *session.Session, j session.Job, so sample.Options) sample.Estimate {
-		t.Helper()
-		est, err := sess.SimulateSampled(ctx, j.Workload, session.WithLabel(j.Label),
-			session.WithMachineConfig(j.Machine), session.WithSamplingOptions(so))
-		if err != nil {
-			t.Fatalf("%s alone: %v", j.Label, err)
-		}
-		return est
-	}
 	solo := func(so sample.Options) map[int]sample.Estimate {
 		sess := session.New()
 		out := map[int]sample.Estimate{}
 		for i, j := range jobs {
 			if j.Kind == runner.Timing {
-				out[i] = simulateSampled(sess, j, so)
+				out[i] = sampledAlone(t, sess, j, so)
 			}
 		}
 		return out
@@ -408,7 +368,7 @@ func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
 	}
 	sess := session.New(session.WithStore(st), session.WithWorkers(2))
 	for _, i := range groupA[:2] {
-		simulateSampled(sess, jobs[i], split)
+		sampledAlone(t, sess, jobs[i], split)
 	}
 	before := st.Stats()
 	check("half stored", sess, split, denser)
@@ -424,7 +384,7 @@ func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
 	// below every interval's peak, is simulated on each.
 	leader := jobs[groupA[0]]
 	leader.Label, leader.Machine.PhysRegs = "class leader", 128
-	peak := simulateSampled(session.New(), leader, so).Stats.MaxPhysInUse
+	peak := sampledAlone(t, session.New(), leader, so).Stats.MaxPhysInUse
 	if peak >= leader.Machine.PhysRegs {
 		t.Fatalf("the leader's %d-register file filled", leader.Machine.PhysRegs)
 	}

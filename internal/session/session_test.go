@@ -66,28 +66,36 @@ func TestBuildOptionsForDerivation(t *testing.T) {
 	}
 }
 
+// timingJob is a Timing job on cfg whose binary flavour follows the
+// machine's DVI level, as every front door derives it.
+func timingJob(w workload.Spec, cfg ooo.Config) session.Job {
+	return session.Job{Workload: w, Scale: 1, Build: session.BuildOptionsFor(cfg.Emu.DVI.Level),
+		Kind: runner.Timing, Machine: cfg}
+}
+
 // TestIDVIRunsUseNoEDVIBinaries is the satellite regression: IDVI-level
-// runs must never request E-DVI binaries, on any run method. The I-DVI
+// runs must never request E-DVI binaries, on any job kind. The I-DVI
 // hardware exploits only the calling convention; shipping kill
 // annotations to it would measure fetch overhead the hardware ignores.
 func TestIDVIRunsUseNoEDVIBinaries(t *testing.T) {
 	w, _ := workload.ByName("li")
+	jobs := func(level core.Level) []session.Job {
+		cfg := ooo.DefaultConfig()
+		cfg.MaxInsts = 10_000
+		cfg.Emu = session.EmuConfigFor(level, emu.ElimLVMStack)
+		bopt := session.BuildOptionsFor(level)
+		return []session.Job{
+			timingJob(w, cfg),
+			{Workload: w, Scale: 1, Build: bopt, Kind: runner.Functional, Emu: cfg.Emu},
+			{Workload: w, Scale: 1, Build: bopt, Kind: runner.CtxSwitch, Emu: cfg.Emu,
+				Interval: 97, EmuBudget: 10_000},
+			{Workload: w, Scale: 1, Build: bopt, Kind: runner.Build},
+		}
+	}
 	for _, level := range []core.Level{core.None, core.IDVI} {
 		rc := &recordingCompile{}
 		sess := session.New(session.WithCompile(rc.fn()), session.WithWorkers(2))
-		ctx := context.Background()
-
-		if _, err := sess.Simulate(ctx, w, session.WithDVILevel(level), session.WithMaxInsts(10_000)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Emulate(ctx, w, session.WithDVILevel(level)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.MeasureCtxSwitch(ctx, w, session.WithDVILevel(level),
-			session.WithInterval(97), session.WithMaxInsts(10_000)); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sess.Build(ctx, w, session.WithDVILevel(level)); err != nil {
+		if _, err := sess.Collect(context.Background(), jobs(level)); err != nil {
 			t.Fatal(err)
 		}
 		if rc.edviRequested() {
@@ -98,11 +106,11 @@ func TestIDVIRunsUseNoEDVIBinaries(t *testing.T) {
 	// And the full level must request annotated binaries everywhere.
 	rc := &recordingCompile{}
 	sess := session.New(session.WithCompile(rc.fn()))
-	if _, err := sess.Simulate(context.Background(), w, session.WithDVILevel(core.Full), session.WithMaxInsts(10_000)); err != nil {
+	if _, err := sess.Collect(context.Background(), jobs(core.Full)); err != nil {
 		t.Fatal(err)
 	}
 	if !rc.edviRequested() {
-		t.Error("full-level Simulate did not request an E-DVI binary")
+		t.Error("full-level runs did not request an E-DVI binary")
 	}
 }
 
@@ -117,7 +125,7 @@ func TestMachineConfigDerivesFlavour(t *testing.T) {
 	cfg := ooo.DefaultConfig()
 	cfg.MaxInsts = 10_000
 	cfg.Emu = session.EmuConfigFor(core.IDVI, emu.ElimOff)
-	if _, err := sess.Simulate(context.Background(), w, session.WithMachineConfig(cfg)); err != nil {
+	if _, err := sess.Collect(context.Background(), []session.Job{timingJob(w, cfg)}); err != nil {
 		t.Fatal(err)
 	}
 	if rc.edviRequested() {
@@ -133,7 +141,7 @@ func TestSimulateMatchesDirect(t *testing.T) {
 	cfg.MaxInsts = 50_000
 
 	sess := session.New()
-	got, err := sess.Simulate(context.Background(), w, session.WithMachineConfig(cfg))
+	out, err := sess.Collect(context.Background(), []session.Job{timingJob(w, cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +154,8 @@ func TestSimulateMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("session Simulate stats differ from direct run:\n got %+v\nwant %+v", got, want)
+	if got := out[0].Timing; got != want {
+		t.Fatalf("session timing stats differ from direct run:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -158,6 +166,8 @@ func TestConcurrentSimulateOneCompile(t *testing.T) {
 	w, _ := workload.ByName("ijpeg")
 	rc := &recordingCompile{}
 	sess := session.New(session.WithCompile(rc.fn()), session.WithWorkers(8))
+	cfg := ooo.DefaultConfig()
+	cfg.MaxInsts = 20_000
 
 	const n = 64
 	var wg sync.WaitGroup
@@ -167,7 +177,12 @@ func TestConcurrentSimulateOneCompile(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			stats[i], errs[i] = sess.Simulate(context.Background(), w, session.WithMaxInsts(20_000))
+			out, err := sess.Collect(context.Background(), []session.Job{timingJob(w, cfg)})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			stats[i] = out[0].Timing
 		}(i)
 	}
 	wg.Wait()
@@ -180,42 +195,39 @@ func TestConcurrentSimulateOneCompile(t *testing.T) {
 		}
 	}
 	if got := rc.count.Load(); got != 1 {
-		t.Fatalf("%d concurrent identical Simulate calls compiled %d times, want 1", n, got)
+		t.Fatalf("%d concurrent identical Collect calls compiled %d times, want 1", n, got)
 	}
 }
 
 // TestBuildCachedVersusFresh checks the artifact ownership contract:
-// cached builds share one read-only copy, WithFreshBuild hands out a
-// private one and never pollutes the cache.
+// every job and cache lookup of one key shares one read-only copy,
+// compiled once. (dvi.Build's private copy is pinned at the facade.)
 func TestBuildCachedVersusFresh(t *testing.T) {
 	w, _ := workload.ByName("li")
 	sess := session.New()
 	ctx := context.Background()
+	build := session.Job{Workload: w, Scale: 1, Kind: runner.Build}
 
-	pr1, img1, err := sess.Build(ctx, w, session.WithEDVI(false))
+	out, err := sess.Collect(ctx, []session.Job{build, build})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr2, _, err := sess.Build(ctx, w, session.WithEDVI(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr1 != pr2 {
-		t.Error("two cached Builds returned different artifacts")
+	pr1, img1 := out[0].Program, out[0].Image
+	if out[1].Program != pr1 {
+		t.Error("two Build jobs in one batch returned different artifacts")
 	}
 	if img1 == nil || img1.TextWords() == 0 {
 		t.Fatal("empty image")
 	}
-
-	fresh, _, err := sess.Build(ctx, w, session.WithEDVI(false), session.WithFreshBuild())
+	pr2, _, err := sess.Cache().Get(ctx, w, 1, workload.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh == pr1 {
-		t.Error("WithFreshBuild returned the cached artifacts")
+	if pr2 != pr1 {
+		t.Error("a cache lookup returned different artifacts than the Build job")
 	}
 	if _, misses := sess.Cache().Stats(); misses != 1 {
-		t.Errorf("fresh build went through the cache: %d misses, want 1", misses)
+		t.Errorf("one key compiled %d times, want 1", misses)
 	}
 }
 
@@ -420,17 +432,19 @@ func TestRunHonoursCancellation(t *testing.T) {
 	}
 }
 
-// TestEmulateMatchesFacadeConfig checks Emulate's flavour/stat parity
-// with a direct emulator over the same binary.
+// TestEmulateMatchesFacadeConfig checks a Functional job's flavour/stat
+// parity with a direct emulator over the same binary.
 func TestEmulateMatchesFacadeConfig(t *testing.T) {
 	w, _ := workload.ByName("compress")
 	sess := session.New()
 	ecfg := session.EmuConfigFor(core.Full, emu.ElimLVMStack)
 
-	got, err := sess.Emulate(context.Background(), w, session.WithEmulatorConfig(ecfg))
+	out, err := sess.Collect(context.Background(), []session.Job{{Workload: w, Scale: 1,
+		Build: session.BuildOptionsFor(ecfg.DVI.Level), Kind: runner.Functional, Emu: ecfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := out[0].Func
 
 	pr, img, err := workload.CompileSpec(w, 1, workload.BuildOptions{EDVI: true})
 	if err != nil {
@@ -441,6 +455,6 @@ func TestEmulateMatchesFacadeConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != e.Stats {
-		t.Fatalf("session Emulate stats differ from direct emulator:\n got %+v\nwant %+v", got, e.Stats)
+		t.Fatalf("session Functional stats differ from direct emulator:\n got %+v\nwant %+v", got, e.Stats)
 	}
 }

@@ -142,7 +142,17 @@ func (k BuildKey) String() string {
 // CompileSpec builds and links one benchmark. The Infer flavour compiles
 // the program plain and lets the interprocedural analysis discover the
 // kills the annotation-assisted path gets from the compiler's liveness.
+// An assembly-backed spec parses its source, then annotates it with the
+// binary rewriter (Infer, or InsertKills for E-DVI); scale does not
+// apply to it. Its errors are unwrapped: the service answers them to the
+// client that sent the source.
 func CompileSpec(s Spec, scale int, opt BuildOptions) (*prog.Program, *prog.Image, error) {
+	switch {
+	case s.Asm != "":
+		return compileAsm(s.Asm, opt)
+	case s.Build == nil:
+		return nil, nil, fmt.Errorf("workload %q: neither an IR builder nor assembly", s.Name)
+	}
 	if scale < 1 {
 		scale = 1
 	}
@@ -159,6 +169,28 @@ func CompileSpec(s Spec, scale int, opt BuildOptions) (*prog.Program, *prog.Imag
 	img, err := pr.Link()
 	if err != nil {
 		return nil, nil, fmt.Errorf("workload %s: %w", s.Name, err)
+	}
+	return pr, img, nil
+}
+
+func compileAsm(src string, opt BuildOptions) (*prog.Program, *prog.Image, error) {
+	pr, err := prog.ParseAsm(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch {
+	case opt.Infer:
+		if _, err := rewrite.Infer(pr, rewrite.Options{Policy: opt.Policy}); err != nil {
+			return nil, nil, err
+		}
+	case opt.EDVI:
+		if _, err := rewrite.InsertKills(pr, rewrite.Options{Policy: opt.Policy}); err != nil {
+			return nil, nil, err
+		}
+	}
+	img, err := pr.Link()
+	if err != nil {
+		return nil, nil, err
 	}
 	return pr, img, nil
 }
