@@ -35,9 +35,7 @@ package dvi
 import (
 	"context"
 	"io"
-	"net/http"
 	"sync"
-	"time"
 
 	"dvi/internal/cacti"
 	"dvi/internal/core"
@@ -49,7 +47,6 @@ import (
 	"dvi/internal/rewrite"
 	"dvi/internal/runner"
 	"dvi/internal/sample"
-	"dvi/internal/service"
 	"dvi/internal/session"
 	"dvi/internal/workload"
 )
@@ -62,8 +59,6 @@ type (
 	MachineConfig = ooo.Config
 	// MachineStats are the timing results of one simulation.
 	MachineStats = ooo.Stats
-	// Machine is the out-of-order simulator instance.
-	Machine = ooo.Machine
 	// FetchPolicy selects how a multi-context machine arbitrates its one
 	// fetch slot per cycle.
 	FetchPolicy = ooo.FetchPolicy
@@ -72,8 +67,6 @@ type (
 	DVIConfig = core.Config
 	// DVILevel selects which DVI sources are honoured.
 	DVILevel = core.Level
-	// Tracker is the LVM + LVM-Stack hardware state.
-	Tracker = core.Tracker
 
 	// Scheme selects the save/restore elimination scheme.
 	Scheme = emu.Scheme
@@ -107,20 +100,15 @@ type (
 	// CollectSampled). Construct with NewSession; the one-shot facade
 	// functions share a lazily-initialized DefaultSession.
 	Session = session.Session
-	// SessionOption configures a Session at construction time
-	// (WithWorkers, WithCacheCapacity, WithProgress, WithCompile).
+	// SessionOption configures a Session at construction time; see
+	// WithWorkers.
 	SessionOption = session.Option
-	// CompileFunc compiles one benchmark flavour; sessions and the
-	// service accept overrides for testing.
-	CompileFunc = runner.CompileFunc
 
 	// RunnerJob is one unit of experiment work: which binary to build or
 	// fetch from the cache, and what to run it on.
 	RunnerJob = runner.Job
 	// RunnerResult is the outcome of one job, in submission order.
 	RunnerResult = runner.Result
-	// RunnerEvent is a per-job progress notification.
-	RunnerEvent = runner.Event
 	// RunnerBuildCache memoizes compiled binaries by BuildKey with
 	// single-flight deduplication.
 	RunnerBuildCache = runner.BuildCache
@@ -131,8 +119,6 @@ type (
 
 	// SwitchResult is a context-switch liveness measurement (§6).
 	SwitchResult = ctxswitch.Result
-	// SwitchStats counts scheduler save/restore traffic.
-	SwitchStats = ctxswitch.SwitchStats
 	// ThreadScheduler runs emulators round-robin with preemptive switches
 	// whose save/restore sequences honour DVI (§6.1).
 	ThreadScheduler = ctxswitch.Scheduler
@@ -148,41 +134,6 @@ type (
 	// sampler: estimated cycles/IPC with a confidence interval, plus the
 	// exact architectural counts from the functional pass.
 	SampledEstimate = sample.Estimate
-
-	// Service is the HTTP/JSON server exposing annotation, simulation
-	// and context-switch sampling to remote clients (DVI-as-a-service).
-	// It is an http.Handler; cmd/dvid is the hosting daemon.
-	Service = service.Server
-	// ServiceConfig parameterizes a Service (workers, admission queue,
-	// build cache bound, request ceilings).
-	ServiceConfig = service.Config
-	// ServiceClient is the typed Go client for a dvid daemon.
-	ServiceClient = service.Client
-	// ServiceClientOption configures a ServiceClient at construction;
-	// see ServiceWithRequestTimeout.
-	ServiceClientOption = service.ClientOption
-	// ServiceError is the error type the client returns for
-	// server-reported failures (carries the HTTP status).
-	ServiceError = service.Error
-
-	// AnnotateRequest/AnnotateResponse are the /v1/annotate wire types.
-	AnnotateRequest  = service.AnnotateRequest
-	AnnotateResponse = service.AnnotateResponse
-	// SimulateRequest/SimulateResponse are the /v1/simulate wire types.
-	SimulateRequest  = service.SimulateRequest
-	SimulateResponse = service.SimulateResponse
-	// CtxSwitchRequest/CtxSwitchResponse are the /v1/ctxswitch wire types.
-	CtxSwitchRequest  = service.CtxSwitchRequest
-	CtxSwitchResponse = service.CtxSwitchResponse
-
-	// ServiceJobRequest is one entry in a /v2/jobs batch: a kind
-	// ("simulate", "ctxswitch", "annotate") plus the matching payload.
-	ServiceJobRequest = service.JobRequest
-	// ServiceJobsRequest is the /v2/jobs body: a heterogeneous job list.
-	ServiceJobsRequest = service.JobsRequest
-	// ServiceJobResult is one line of the /v2/jobs NDJSON stream,
-	// delivered in submission order; ServiceClient.RunJobs decodes them.
-	ServiceJobResult = service.JobResult
 )
 
 // DVI levels (paper Figure 5's three configurations).
@@ -239,19 +190,9 @@ const DefaultSessionCacheCapacity = 64
 // concurrent calls share memoized builds and warm simulator instances.
 func NewSession(opts ...SessionOption) *Session { return session.New(opts...) }
 
-// Session construction options.
-var (
-	// WithWorkers bounds the session's worker pool
-	// (<=0 = runtime.GOMAXPROCS(0)).
-	WithWorkers = session.WithWorkers
-	// WithCacheCapacity bounds the build cache with LRU eviction
-	// (<=0 = unbounded).
-	WithCacheCapacity = session.WithCacheCapacity
-	// WithProgress installs a per-job lifecycle observer.
-	WithProgress = session.WithProgress
-	// WithCompile overrides the build function (tests, custom toolchains).
-	WithCompile = session.WithCompile
-)
+// WithWorkers bounds the session's worker pool
+// (<=0 = runtime.GOMAXPROCS(0)).
+var WithWorkers = session.WithWorkers
 
 var (
 	defaultSessionOnce sync.Once
@@ -345,11 +286,6 @@ func timingJob(w Workload, scale int, cfg MachineConfig) RunnerJob {
 	return RunnerJob{Workload: w, Scale: scale, Build: BuildOptionsFor(cfg.Emu.DVI.Level), Kind: JobTiming, Machine: cfg}
 }
 
-// NewMachine builds a simulator over an already-linked program.
-func NewMachine(pr *Program, img *Image, cfg MachineConfig) *Machine {
-	return ooo.New(pr, img, cfg)
-}
-
 // Emulate runs a workload on the functional reference emulator and returns
 // it for inspection (checksum, statistics, DVI tracker). The binary comes
 // from the default Session's build cache (flavour derived from cfg's DVI
@@ -416,30 +352,8 @@ func RunExperiments(ctx context.Context, sess *Session, opt ExperimentOptions, i
 	return harness.RunFigures(ctx, sess, opt, ids, w)
 }
 
-// FormatAsm renders a symbolic program as assembly text — the service's
-// wire format. The text reparses with ParseAsm; format→parse→format is a
-// fixed point, and the reparsed program links byte-identically.
+// FormatAsm renders a symbolic program as assembly text, the form a
+// Workload's Asm field and the dvid daemon's wire take. Format, parse and
+// format again is a fixed point, and the reparsed program links
+// byte-identically.
 func FormatAsm(pr *Program) string { return prog.FormatAsm(pr) }
-
-// ParseAsm parses assembly text into a symbolic program, ready for
-// InsertKills and linking.
-func ParseAsm(src string) (*Program, error) { return prog.ParseAsm(src) }
-
-// NewService builds the DVI HTTP service. Mount it on an http.Server
-// (cmd/dvid does exactly this) or an httptest server in tests.
-func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
-
-// NewServiceClient builds a typed client for a dvid daemon at base, e.g.
-// "http://localhost:8077". A nil hc uses http.DefaultClient; production
-// callers should bound calls with ServiceWithRequestTimeout (or a
-// caller-side context deadline) so a stalled daemon fails the call
-// instead of hanging it.
-func NewServiceClient(base string, hc *http.Client, opts ...ServiceClientOption) *ServiceClient {
-	return service.NewClient(base, hc, opts...)
-}
-
-// ServiceWithRequestTimeout bounds every call the client makes — one
-// deadline per method call, covering streaming calls end to end.
-func ServiceWithRequestTimeout(d time.Duration) ServiceClientOption {
-	return service.WithRequestTimeout(d)
-}

@@ -217,8 +217,9 @@ func TestFacadeOneShotsDeriveFlavour(t *testing.T) {
 
 // TestFacadeSimulateAsmWorkload runs a workload given as assembly: the
 // text of li's plain build, on a machine without DVI, commits exactly
-// what li does. A workload with neither an IR builder nor assembly is
-// an error, not a crashed worker.
+// what li does. Scale does not apply to assembly, so runs at scales 1 to
+// 3 share one build. A workload with neither an IR builder nor assembly
+// is an error, not a crashed worker.
 func TestFacadeSimulateAsmWorkload(t *testing.T) {
 	li, _ := dvi.WorkloadByName("li")
 	pr, _, err := dvi.Build(li, 1, false)
@@ -232,12 +233,19 @@ func TestFacadeSimulateAsmWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dvi.Simulate(dvi.Workload{Name: "li-asm", Asm: dvi.FormatAsm(pr)}, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
+	asm := dvi.Workload{Name: "li-asm", Asm: dvi.FormatAsm(pr)}
+	_, missesBefore := dvi.DefaultSession().Cache().Stats()
+	for scale := 1; scale <= 3; scale++ {
+		got, err := dvi.Simulate(asm, scale, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("assembly workload at scale %d: stats differ from li's:\n got %+v\nwant %+v", scale, got, want)
+		}
 	}
-	if got != want {
-		t.Errorf("assembly workload stats differ from li's:\n got %+v\nwant %+v", got, want)
+	if _, missesAfter := dvi.DefaultSession().Cache().Stats(); missesAfter-missesBefore != 1 {
+		t.Errorf("assembly workload at scales 1-3 missed the build cache %d times, want 1", missesAfter-missesBefore)
 	}
 	if _, err := dvi.Simulate(dvi.Workload{}, 1, cfg); err == nil {
 		t.Error("Simulate accepted a workload with no program")

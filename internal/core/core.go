@@ -128,9 +128,6 @@ func (t *Tracker) FlushStack() {
 	t.count = 0
 }
 
-// Enabled reports whether any DVI hardware is active.
-func (t *Tracker) Enabled() bool { return t.cfg.Level != None }
-
 // Level returns the configured DVI level.
 func (t *Tracker) Level() Level { return t.cfg.Level }
 

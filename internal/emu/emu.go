@@ -160,14 +160,6 @@ func New(pr *prog.Program, img *prog.Image, cfg Config) *Emulator {
 	return e
 }
 
-// NewWithMemory builds an emulator over an existing memory (shared-image
-// replays clone the memory themselves).
-func NewWithMemory(img *prog.Image, m *mem.Memory, cfg Config) *Emulator {
-	e := &Emulator{cfg: cfg, img: img, Mem: m, Tracker: core.New(cfg.DVI)}
-	e.Reset()
-	return e
-}
-
 // ResetFor retargets the emulator to a (possibly different) program,
 // image and configuration, then rewinds to program start. The memory is
 // zeroed in place and the image reloaded, so a pooled emulator runs a

@@ -21,8 +21,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,7 +28,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,30 +241,16 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.Serv
 
 // --- routing keys ---
 
-// routeKey derives the consistent-hash key from a request's source: the
-// workload name and scale (every flavour of one workload shares a
-// backend, so its builds coalesce fleet-wide), or a digest of submitted
-// assembly (identical submissions share a backend the same way).
-func routeKey(workload, asm string, scale int) string {
-	if asm != "" {
-		sum := sha256.Sum256([]byte(asm))
-		return "asm:" + hex.EncodeToString(sum[:12]) + "/x1"
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	return workload + "/x" + strconv.Itoa(scale)
-}
-
-// routeKeyJob extracts the routing key from a /v2 batch entry.
-func routeKeyJob(jr service.JobRequest) string {
+// routeKeyJob extracts the consistent-hash key from a /v2 batch entry's
+// source; see service.Server.RouteKey.
+func (g *Gateway) routeKeyJob(jr service.JobRequest) string {
 	switch {
 	case jr.Simulate != nil:
-		return routeKey(jr.Simulate.Workload, jr.Simulate.Asm, jr.Simulate.Scale)
+		return g.local.RouteKey(jr.Simulate.Workload, jr.Simulate.Asm, jr.Simulate.Scale)
 	case jr.CtxSwitch != nil:
-		return routeKey(jr.CtxSwitch.Workload, jr.CtxSwitch.Asm, jr.CtxSwitch.Scale)
+		return g.local.RouteKey(jr.CtxSwitch.Workload, jr.CtxSwitch.Asm, jr.CtxSwitch.Scale)
 	case jr.Annotate != nil:
-		return routeKey(jr.Annotate.Workload, jr.Annotate.Asm, jr.Annotate.Scale)
+		return g.local.RouteKey(jr.Annotate.Workload, jr.Annotate.Asm, jr.Annotate.Scale)
 	}
 	return ""
 }
@@ -557,7 +540,7 @@ func decodeLine(b *backend, data []byte) (rawLine, error) {
 // newline.
 func (g *Gateway) runJob(ctx context.Context, idx int, jr service.JobRequest, body []byte) []byte {
 	ctx, span := obs.StartSpan(ctx, "gateway-job")
-	key := routeKeyJob(jr)
+	key := g.routeKeyJob(jr)
 	if span != nil {
 		span.SetAttr("index", idx)
 		span.SetAttr("key", key)
@@ -776,7 +759,7 @@ func (g *Gateway) proxyHandler(endpoint, path string) http.HandlerFunc {
 			Scale    int    `json:"scale"`
 		}
 		_ = json.Unmarshal(body, &probe)
-		key := routeKey(probe.Workload, probe.Asm, probe.Scale)
+		key := g.local.RouteKey(probe.Workload, probe.Asm, probe.Scale)
 		if span != nil {
 			span.SetAttr("key", key)
 		}

@@ -11,13 +11,16 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dvi/internal/faults"
 	"dvi/internal/gateway"
+	"dvi/internal/prog"
 	"dvi/internal/service"
 	"dvi/internal/store"
+	"dvi/internal/workload"
 )
 
 // fastConfig keeps the recovery ladder's timers test-sized.
@@ -369,6 +372,48 @@ func TestGatewayHedgesSlowBackend(t *testing.T) {
 	}
 	if gatewayMetric(t, gts, "dvid_hedge_wins_total") == 0 {
 		t.Fatal("hedges launched but none won against a 400ms-slower primary")
+	}
+}
+
+// TestGatewayRoutesClampedScaleOnce: a backend runs a workload at no
+// more than its MaxScale, so requests above it build the same binary as
+// requests at it. The gateway must route them alike, through /v1 and
+// /v2, so that the binary compiles once across the fleet. Under their
+// fixed names the two backends own gcc at scales 8 and 9 apart.
+func TestGatewayRoutesClampedScaleOnce(t *testing.T) {
+	var compiles atomic.Int64
+	countingCompile := func(s workload.Spec, scale int, opt workload.BuildOptions) (*prog.Program, *prog.Image, error) {
+		compiles.Add(1)
+		return workload.CompileSpec(s, scale, opt)
+	}
+	a := httptest.NewServer(service.New(service.Config{Compile: countingCompile}))
+	defer a.Close()
+	b := httptest.NewServer(service.New(service.Config{Compile: countingCompile}))
+	defer b.Close()
+
+	urls := []string{"http://backend-a", "http://backend-b"}
+	cfg := fastConfig(urls, service.New(service.Config{}))
+	cfg.Transport = logicalFleet(urls, a, b)
+	cfg.HedgeAfter = -1 // a hedge would compile on the other backend
+	gw, err := gateway.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw)
+	defer gts.Close()
+
+	if code, _, body := post(t, gts.URL+"/v1/simulate", `{"workload":"gcc","scale":8,"max_insts":20000}`); code != http.StatusOK {
+		t.Fatalf("scale 8: HTTP %d: %s", code, body)
+	}
+	if code, _, body := post(t, gts.URL+"/v1/simulate", `{"workload":"gcc","scale":9,"max_insts":20000}`); code != http.StatusOK {
+		t.Fatalf("scale 9: HTTP %d: %s", code, body)
+	}
+	batch := `{"jobs":[{"kind":"simulate","simulate":{"workload":"gcc","scale":16,"max_insts":20000}}]}`
+	if code, _, body := post(t, gts.URL+"/v2/jobs", batch); code != http.StatusOK || bytes.Contains(body, []byte(`"error"`)) {
+		t.Fatalf("scale 16 batch: HTTP %d: %s", code, body)
+	}
+	if n := compiles.Load(); n != 1 {
+		t.Fatalf("gcc at scales 8, 9 and 16 compiled %d times across the fleet, want 1", n)
 	}
 }
 

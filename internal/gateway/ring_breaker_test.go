@@ -1,9 +1,13 @@
 package gateway
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
+
+	"dvi/internal/service"
 )
 
 func TestRingOrderedCoversAllBackends(t *testing.T) {
@@ -120,18 +124,28 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
+// TestRouteKeyShapes pins the keys the gateway routes by, which it takes
+// from its local server: a workload keys by its name and the scale a
+// backend runs it at, assembly by its digest at scale 1.
 func TestRouteKeyShapes(t *testing.T) {
-	if routeKey("compress", "", 0) != "compress/x1" {
-		t.Fatalf("workload key: %q", routeKey("compress", "", 0))
+	key := service.New(service.Config{}).RouteKey
+	if key("compress", "", 0) != "compress/x1" {
+		t.Fatalf("workload key: %q", key("compress", "", 0))
 	}
-	if routeKey("compress", "", 3) != "compress/x3" {
-		t.Fatalf("scaled key: %q", routeKey("compress", "", 3))
+	if key("compress", "", 3) != "compress/x3" {
+		t.Fatalf("scaled key: %q", key("compress", "", 3))
 	}
-	a1, a2 := routeKey("", "some asm", 1), routeKey("", "some asm", 1)
+	if k := key("compress", "", service.DefaultMaxScale+1); k != fmt.Sprintf("compress/x%d", service.DefaultMaxScale) {
+		t.Fatalf("key above MaxScale: %q", k)
+	}
+	a1, a2 := key("", "some asm", 1), key("", "some asm", 1)
 	if a1 != a2 {
 		t.Fatal("asm keys not deterministic")
 	}
-	if a1 == routeKey("", "other asm", 1) {
+	if sum := sha256.Sum256([]byte("some asm")); a1 != "asm:"+hex.EncodeToString(sum[:12])+"/x1" {
+		t.Fatalf("asm key: %q", a1)
+	}
+	if a1 == key("", "other asm", 1) {
 		t.Fatal("distinct asm collides")
 	}
 }

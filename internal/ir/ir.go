@@ -134,9 +134,6 @@ func (m *Module) Func(name string, nParams int) *Func {
 	return f
 }
 
-// FuncByName returns a function, or nil.
-func (m *Module) FuncByName(name string) *Func { return m.byName[name] }
-
 // AddData registers a data symbol.
 func (m *Module) AddData(d prog.DataSym) { m.Data = append(m.Data, d) }
 

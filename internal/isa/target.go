@@ -16,6 +16,3 @@ func BranchTarget(pc uint64, in Inst) (target uint64, ok bool) {
 	}
 	return 0, false
 }
-
-// FallThrough returns the address of the next sequential instruction.
-func FallThrough(pc uint64) uint64 { return pc + InstBytes }

@@ -17,9 +17,6 @@ func (pr *Program) Assembler(name string) *Asm {
 	return &Asm{p: pr.AddProc(name)}
 }
 
-// AsmFor wraps an existing procedure.
-func AsmFor(p *Proc) *Asm { return &Asm{p: p} }
-
 // Proc returns the underlying procedure.
 func (a *Asm) Proc() *Proc { return a.p }
 

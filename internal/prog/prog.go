@@ -56,15 +56,6 @@ type Proc struct {
 	labels map[string]int // label -> instruction index
 }
 
-// Labels returns a copy of the label table (for listings and CFG building).
-func (p *Proc) Labels() map[string]int {
-	out := make(map[string]int, len(p.labels))
-	for k, v := range p.labels {
-		out[k] = v
-	}
-	return out
-}
-
 // LabelAt returns the instruction index of a local label.
 func (p *Proc) LabelAt(name string) (int, bool) {
 	i, ok := p.labels[name]

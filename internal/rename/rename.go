@@ -64,15 +64,11 @@ type Table struct {
 	watch [][]uint32
 }
 
-// NewTable builds a single-context table with nPhys physical registers.
-// At least NumArch+1 are required for forward progress (the paper's
-// "minimum of 32 required to avoid deadlock" counts the architectural
-// state; one more is needed to rename anything).
-func NewTable(nPhys int) *Table { return NewTableCtx(nPhys, 1) }
-
-// NewTableCtx builds a table shared by nCtx hardware contexts. Each
-// context pins NumArch physical registers for its architectural state, so
-// nPhys must be at least nCtx*NumArch+1.
+// NewTableCtx builds a table with nPhys physical registers shared by nCtx
+// hardware contexts. Each context pins NumArch physical registers for its
+// architectural state, and one more is needed to rename anything, so
+// nPhys must be at least nCtx*NumArch+1 (the paper's "minimum of 32
+// required to avoid deadlock" counts one context's architectural state).
 func NewTableCtx(nPhys, nCtx int) *Table {
 	if nCtx < 1 {
 		panic(fmt.Sprintf("rename: nCtx %d < 1", nCtx))
@@ -120,11 +116,8 @@ func (t *Table) NCtx() int { return t.nCtx }
 // FreeCount returns the number of free physical registers.
 func (t *Table) FreeCount() int { return t.nFree }
 
-// Map returns the physical register currently holding context 0's arch
-// register r, or (None, false) if r is unmapped (killed).
-func (t *Table) Map(r uint8) (PhysReg, bool) { return t.MapCtx(0, r) }
-
-// MapCtx is Map for hardware context ctx.
+// MapCtx returns the physical register currently holding context ctx's
+// arch register r, or (None, false) if r is unmapped (killed).
 func (t *Table) MapCtx(ctx int, r uint8) (PhysReg, bool) {
 	p := t.amap[ctx*NumArch+int(r)]
 	return p, p != None
@@ -149,13 +142,10 @@ func (t *Table) allocate() (PhysReg, bool) {
 	return None, false
 }
 
-// Rename allocates a new physical register for a write to context 0's
-// arch register r. It returns the new mapping and the previous one (prev
-// == None when r was unmapped). ok is false when the free list is empty:
-// the pipeline must stall (this is the Figure 5 bottleneck).
-func (t *Table) Rename(r uint8) (newP, prevP PhysReg, ok bool) { return t.RenameCtx(0, r) }
-
-// RenameCtx is Rename for hardware context ctx.
+// RenameCtx allocates a new physical register for a write to context
+// ctx's arch register r. It returns the new mapping and the previous one
+// (prev == None when r was unmapped). ok is false when the free list is
+// empty: the pipeline must stall (this is the Figure 5 bottleneck).
 func (t *Table) RenameCtx(ctx int, r uint8) (newP, prevP PhysReg, ok bool) {
 	newP, ok = t.allocate()
 	if !ok {
@@ -167,12 +157,9 @@ func (t *Table) RenameCtx(ctx int, r uint8) (newP, prevP PhysReg, ok bool) {
 	return newP, prevP, true
 }
 
-// Unmap removes context 0's mapping for r (a DVI kill at decode) and
-// returns the physical register it held, which the caller must keep
+// UnmapCtx removes context ctx's mapping for r (a DVI kill at decode)
+// and returns the physical register it held, which the caller must keep
 // pinned until the kill commits, then Free.
-func (t *Table) Unmap(r uint8) (PhysReg, bool) { return t.UnmapCtx(0, r) }
-
-// UnmapCtx is Unmap for hardware context ctx.
 func (t *Table) UnmapCtx(ctx int, r uint8) (PhysReg, bool) {
 	i := ctx*NumArch + int(r)
 	p := t.amap[i]
@@ -241,22 +228,16 @@ func (t *Table) PurgeWatchers(live func(token uint32) bool) {
 	}
 }
 
-// MapSnapshot copies context 0's architectural mapping (taken when a
-// mispredicted branch dispatches).
-func (t *Table) MapSnapshot() [NumArch]PhysReg { return t.MapSnapshotCtx(0) }
-
-// MapSnapshotCtx is MapSnapshot for hardware context ctx.
+// MapSnapshotCtx copies context ctx's architectural mapping (taken when
+// a mispredicted branch dispatches).
 func (t *Table) MapSnapshotCtx(ctx int) (m [NumArch]PhysReg) {
 	copy(m[:], t.amap[ctx*NumArch:(ctx+1)*NumArch])
 	return m
 }
 
-// RestoreMap reinstates a context 0 snapshot. The free list must be
-// rebuilt afterwards with RebuildFree.
-func (t *Table) RestoreMap(m [NumArch]PhysReg) { t.RestoreMapCtx(0, m) }
-
-// RestoreMapCtx is RestoreMap for hardware context ctx. Other contexts'
-// maps are untouched: recovery is context-scoped.
+// RestoreMapCtx reinstates a snapshot of context ctx's map. Other
+// contexts' maps are untouched: recovery is context-scoped. The free list
+// must be rebuilt afterwards with RebuildFree.
 func (t *Table) RestoreMapCtx(ctx int, m [NumArch]PhysReg) {
 	copy(t.amap[ctx*NumArch:(ctx+1)*NumArch], m[:])
 }

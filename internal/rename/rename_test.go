@@ -6,9 +6,9 @@ import (
 )
 
 func TestResetIdentity(t *testing.T) {
-	tab := NewTable(40)
+	tab := NewTableCtx(40, 1)
 	for r := uint8(0); r < NumArch; r++ {
-		p, ok := tab.Map(r)
+		p, ok := tab.MapCtx(0, r)
 		if !ok || p != PhysReg(r) {
 			t.Errorf("Map(%d) = %d,%v", r, p, ok)
 		}
@@ -22,8 +22,8 @@ func TestResetIdentity(t *testing.T) {
 }
 
 func TestRenameAllocatesAndTracksPrev(t *testing.T) {
-	tab := NewTable(34)
-	newP, prevP, ok := tab.Rename(5)
+	tab := NewTableCtx(34, 1)
+	newP, prevP, ok := tab.RenameCtx(0, 5)
 	if !ok || prevP != 5 {
 		t.Fatalf("rename = %d,%d,%v", newP, prevP, ok)
 	}
@@ -33,24 +33,24 @@ func TestRenameAllocatesAndTracksPrev(t *testing.T) {
 	if tab.Ready(newP) {
 		t.Error("fresh allocation already ready")
 	}
-	p, _ := tab.Map(5)
+	p, _ := tab.MapCtx(0, 5)
 	if p != newP {
 		t.Error("map not updated")
 	}
 	// Two free registers existed; a second and third rename exhaust them.
-	if _, _, ok := tab.Rename(6); !ok {
+	if _, _, ok := tab.RenameCtx(0, 6); !ok {
 		t.Fatal("second rename failed")
 	}
-	if _, _, ok := tab.Rename(7); ok {
+	if _, _, ok := tab.RenameCtx(0, 7); ok {
 		t.Error("rename succeeded with empty free list")
 	}
 }
 
 func TestFreeRecycles(t *testing.T) {
-	tab := NewTable(33)
-	newP, prevP, _ := tab.Rename(3)
+	tab := NewTableCtx(33, 1)
+	newP, prevP, _ := tab.RenameCtx(0, 3)
 	tab.Free(prevP) // the overwriting instruction commits
-	p2, prev2, ok := tab.Rename(4)
+	p2, prev2, ok := tab.RenameCtx(0, 4)
 	if !ok {
 		t.Fatal("rename after free failed")
 	}
@@ -64,8 +64,8 @@ func TestFreeRecycles(t *testing.T) {
 }
 
 func TestDoubleFreePanics(t *testing.T) {
-	tab := NewTable(34)
-	_, prevP, _ := tab.Rename(1)
+	tab := NewTableCtx(34, 1)
+	_, prevP, _ := tab.RenameCtx(0, 1)
 	tab.Free(prevP)
 	defer func() {
 		if recover() == nil {
@@ -76,7 +76,7 @@ func TestDoubleFreePanics(t *testing.T) {
 }
 
 func TestFreeInvalidPanics(t *testing.T) {
-	tab := NewTable(34)
+	tab := NewTableCtx(34, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("freeing None did not panic")
@@ -86,12 +86,12 @@ func TestFreeInvalidPanics(t *testing.T) {
 }
 
 func TestUnmapKill(t *testing.T) {
-	tab := NewTable(34)
-	victim, ok := tab.Unmap(16)
+	tab := NewTableCtx(34, 1)
+	victim, ok := tab.UnmapCtx(0, 16)
 	if !ok || victim != 16 {
 		t.Fatalf("unmap = %d,%v", victim, ok)
 	}
-	if _, mapped := tab.Map(16); mapped {
+	if _, mapped := tab.MapCtx(0, 16); mapped {
 		t.Error("register still mapped after kill")
 	}
 	// Reads of unmapped registers are ready dead values.
@@ -100,15 +100,15 @@ func TestUnmapKill(t *testing.T) {
 	}
 	// A kill victim is freed at commit, then reusable.
 	tab.Free(victim)
-	newP, prevP, ok := tab.Rename(16)
+	newP, prevP, ok := tab.RenameCtx(0, 16)
 	if !ok || prevP != None {
 		t.Fatalf("rename of unmapped = %d,%d,%v", newP, prevP, ok)
 	}
 	// Double unmap yields nothing.
-	if _, ok := tab.Unmap(17); !ok {
+	if _, ok := tab.UnmapCtx(0, 17); !ok {
 		t.Fatal("first unmap failed")
 	}
-	if _, ok := tab.Unmap(17); ok {
+	if _, ok := tab.UnmapCtx(0, 17); ok {
 		t.Error("second unmap of same register succeeded")
 	}
 }
@@ -117,42 +117,42 @@ func TestEarlyReclamationGrowsEffectiveFile(t *testing.T) {
 	// The §4 scenario: with 33 physical registers only one rename can be
 	// outstanding; killing a register and freeing it at commit provides a
 	// second allocatable register without any redefinition committing.
-	tab := NewTable(33)
-	if _, _, ok := tab.Rename(1); !ok {
+	tab := NewTableCtx(33, 1)
+	if _, _, ok := tab.RenameCtx(0, 1); !ok {
 		t.Fatal("first rename failed")
 	}
-	if _, _, ok := tab.Rename(2); ok {
+	if _, _, ok := tab.RenameCtx(0, 2); ok {
 		t.Fatal("file should be exhausted")
 	}
-	victim, _ := tab.Unmap(16) // kill r16 (dead value)
-	tab.Free(victim)           // kill commits
-	if _, _, ok := tab.Rename(2); !ok {
+	victim, _ := tab.UnmapCtx(0, 16) // kill r16 (dead value)
+	tab.Free(victim)                 // kill commits
+	if _, _, ok := tab.RenameCtx(0, 2); !ok {
 		t.Error("rename should succeed after DVI reclamation")
 	}
 }
 
 func TestSnapshotRestoreMapAndRebuild(t *testing.T) {
-	tab := NewTable(40)
+	tab := NewTableCtx(40, 1)
 	// Dispatch three writes, snapshot (branch), then wrong-path writes.
 	var inFlightPrev []PhysReg
 	for _, r := range []uint8{1, 2, 3} {
-		_, prev, ok := tab.Rename(r)
+		_, prev, ok := tab.RenameCtx(0, r)
 		if !ok {
 			t.Fatal("rename failed")
 		}
 		inFlightPrev = append(inFlightPrev, prev)
 	}
-	snap := tab.MapSnapshot()
+	snap := tab.MapSnapshotCtx(0)
 	freeAtSnap := tab.FreeCount()
 
 	for _, r := range []uint8{4, 5, 6, 7} {
-		tab.Rename(r) // wrong path
+		tab.RenameCtx(0, r) // wrong path
 	}
-	tab.Unmap(16) // wrong-path kill
+	tab.UnmapCtx(0, 16) // wrong-path kill
 
 	// Recovery: restore map; pin the in-flight instructions' prev regs
 	// (their writers haven't committed).
-	tab.RestoreMap(snap)
+	tab.RestoreMapCtx(0, snap)
 	var used Bits
 	for _, p := range inFlightPrev {
 		if p != None {
@@ -163,11 +163,11 @@ func TestSnapshotRestoreMapAndRebuild(t *testing.T) {
 	if tab.FreeCount() != freeAtSnap {
 		t.Errorf("free after recovery = %d, want %d", tab.FreeCount(), freeAtSnap)
 	}
-	if p, ok := tab.Map(16); !ok || p != 16 {
+	if p, ok := tab.MapCtx(0, 16); !ok || p != 16 {
 		t.Error("wrong-path kill survived recovery")
 	}
 	for _, r := range []uint8{4, 5, 6, 7} {
-		if p, _ := tab.Map(r); p != PhysReg(r) {
+		if p, _ := tab.MapCtx(0, r); p != PhysReg(r) {
 			t.Errorf("wrong-path rename of r%d survived recovery", r)
 		}
 	}
@@ -177,14 +177,14 @@ func TestRebuildAfterCommitsBetweenSnapshotAndRecovery(t *testing.T) {
 	// The case the reconstruction exists for: a register freed *after* the
 	// snapshot (by a committing older instruction) must remain free after
 	// recovery even though the snapshot predates the free.
-	tab := NewTable(34)
-	_, prev, _ := tab.Rename(1) // older instruction X: r1 -> new, prev pinned
-	snap := tab.MapSnapshot()
+	tab := NewTableCtx(34, 1)
+	_, prev, _ := tab.RenameCtx(0, 1) // older instruction X: r1 -> new, prev pinned
+	snap := tab.MapSnapshotCtx(0)
 	free0 := tab.FreeCount()
-	tab.Rename(2)  // wrong path allocation
-	tab.Free(prev) // X commits after the snapshot: prev freed
+	tab.RenameCtx(0, 2) // wrong path allocation
+	tab.Free(prev)      // X commits after the snapshot: prev freed
 
-	tab.RestoreMap(snap)
+	tab.RestoreMapCtx(0, snap)
 	var used Bits // X has committed; nothing in flight
 	tab.RebuildFree(&used)
 	// After recovery the snapshot map holds 32 registers (including X's
@@ -205,19 +205,19 @@ func TestInvariantFreePlusMappedPlusPinned(t *testing.T) {
 	// and mapped.
 	r := rand.New(rand.NewSource(9))
 	const nPhys = 48
-	tab := NewTable(nPhys)
+	tab := NewTableCtx(nPhys, 1)
 	pinned := map[PhysReg]bool{} // prevs and kill victims awaiting commit
 	for step := 0; step < 20000; step++ {
 		switch r.Intn(3) {
 		case 0: // rename
 			reg := uint8(r.Intn(NumArch))
-			_, prev, ok := tab.Rename(reg)
+			_, prev, ok := tab.RenameCtx(0, reg)
 			if ok && prev != None {
 				pinned[prev] = true
 			}
 		case 1: // kill
 			reg := uint8(r.Intn(NumArch))
-			if victim, ok := tab.Unmap(reg); ok {
+			if victim, ok := tab.UnmapCtx(0, reg); ok {
 				pinned[victim] = true
 			}
 		case 2: // commit one pinned entry
@@ -229,7 +229,7 @@ func TestInvariantFreePlusMappedPlusPinned(t *testing.T) {
 		}
 		mapped := 0
 		for reg := uint8(0); reg < NumArch; reg++ {
-			if p, ok := tab.Map(reg); ok {
+			if p, ok := tab.MapCtx(0, reg); ok {
 				if tab.free.Has(p) {
 					t.Fatalf("step %d: p%d both mapped and free", step, p)
 				}
@@ -244,8 +244,8 @@ func TestInvariantFreePlusMappedPlusPinned(t *testing.T) {
 }
 
 func TestReadyLifecycle(t *testing.T) {
-	tab := NewTable(34)
-	p, _, _ := tab.Rename(1)
+	tab := NewTableCtx(34, 1)
+	p, _, _ := tab.RenameCtx(0, 1)
 	if tab.Ready(p) {
 		t.Error("ready before writeback")
 	}
@@ -260,10 +260,10 @@ func TestBadSizePanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewTable(%d) did not panic", n)
+					t.Errorf("NewTableCtx(%d, 1) did not panic", n)
 				}
 			}()
-			NewTable(n)
+			NewTableCtx(n, 1)
 		}()
 	}
 }
@@ -286,8 +286,8 @@ func TestBitsSetHasCount(t *testing.T) {
 // drain-on-take, recovery purge, and the clear-on-reallocation rule that
 // stops a recycled register from waking stale consumers.
 func TestWatchers(t *testing.T) {
-	tb := NewTable(40)
-	p, _, ok := tb.Rename(3)
+	tb := NewTableCtx(40, 1)
+	p, _, ok := tb.RenameCtx(0, 3)
 	if !ok {
 		t.Fatal("rename failed")
 	}
@@ -311,14 +311,14 @@ func TestWatchers(t *testing.T) {
 
 	// A register freed and reallocated must come back watcher-free.
 	tb.Watch(p, 5)
-	q, prev, ok := tb.Rename(3) // p becomes prev, still watched
+	q, prev, ok := tb.RenameCtx(0, 3) // p becomes prev, still watched
 	if !ok || prev != p {
 		t.Fatalf("rename: q=%d prev=%d ok=%v", q, prev, ok)
 	}
 	tb.Free(p)
 	var reallocated bool
 	for i := 0; i < tb.NPhys(); i++ { // drain the free list until p returns
-		r, _, ok := tb.Rename(4)
+		r, _, ok := tb.RenameCtx(0, 4)
 		if !ok {
 			break
 		}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"container/list"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -37,8 +38,7 @@ type BuildCache struct {
 
 	mu      sync.Mutex
 	entries map[workload.BuildKey]*buildEntry
-	// Doubly-linked LRU list over map entries; head is most recent.
-	head, tail *buildEntry
+	lru     list.List // of *buildEntry; front is most recently used
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -51,35 +51,23 @@ type BuildCache struct {
 // pr/img/err are final; done mirrors it under the cache lock so eviction
 // can tell finished entries from in-flight ones.
 type buildEntry struct {
-	key        workload.BuildKey
-	ready      chan struct{}
-	done       bool
-	prev, next *buildEntry
-	pr         *prog.Program
-	img        *prog.Image
-	err        error
+	key   workload.BuildKey
+	ready chan struct{}
+	done  bool
+	elem  *list.Element
+	pr    *prog.Program
+	img   *prog.Image
+	err   error
 }
 
-// NewBuildCache builds an empty, unbounded cache. A nil compile uses
-// workload.CompileSpec.
-func NewBuildCache(compile CompileFunc) *BuildCache {
-	return NewBuildCacheLRU(compile, 0)
-}
-
-// NewBuildCacheLRU builds an empty cache bounded to capacity entries with
-// LRU eviction; capacity <= 0 means unbounded. A nil compile uses
-// workload.CompileSpec.
-func NewBuildCacheLRU(compile CompileFunc, capacity int) *BuildCache {
-	return NewBuildCacheStore(compile, capacity, nil)
-}
-
-// NewBuildCacheStore builds a bounded cache backed by an on-disk
-// artifact store: memory misses first try the store (a verified
+// NewBuildCache builds an empty cache. A nil compile uses
+// workload.CompileSpec. A positive capacity bounds the cache with LRU
+// eviction; capacity <= 0 means unbounded. A non-nil store backs it with
+// on-disk artifacts: memory misses first try the store (a verified
 // artifact is decoded instead of compiled), and fresh compiles are
 // persisted back, so a warm restart on the same store directory fills
-// the whole cache without invoking the compiler once. A nil store
-// degrades to the purely in-memory cache.
-func NewBuildCacheStore(compile CompileFunc, capacity int, st *store.Store) *BuildCache {
+// the whole cache without invoking the compiler once.
+func NewBuildCache(compile CompileFunc, capacity int, st *store.Store) *BuildCache {
 	if compile == nil {
 		compile = workload.CompileSpec
 	}
@@ -92,33 +80,6 @@ func NewBuildCacheStore(compile CompileFunc, capacity int, st *store.Store) *Bui
 // Store returns the backing artifact store (nil when purely in-memory).
 func (c *BuildCache) Store() *store.Store { return c.store }
 
-// unlink removes e from the LRU list. Caller holds mu.
-func (c *BuildCache) unlink(e *buildEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront makes e the most recently used entry. Caller holds mu.
-func (c *BuildCache) pushFront(e *buildEntry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
 // enforceCapacity evicts completed least-recently-used entries until the
 // cache fits its bound. In-flight entries are skipped: their compiling
 // callers and waiters expect to find them. Caller holds mu.
@@ -126,14 +87,14 @@ func (c *BuildCache) enforceCapacity() {
 	if c.capacity <= 0 {
 		return
 	}
-	for e := c.tail; e != nil && len(c.entries) > c.capacity; {
-		prev := e.prev
-		if e.done {
-			c.unlink(e)
+	for el := c.lru.Back(); el != nil && len(c.entries) > c.capacity; {
+		prev := el.Prev()
+		if e := el.Value.(*buildEntry); e.done {
+			c.lru.Remove(el)
 			delete(c.entries, e.key)
 			c.evictions.Add(1)
 		}
-		e = prev
+		el = prev
 	}
 }
 
@@ -146,8 +107,7 @@ func (c *BuildCache) Get(ctx context.Context, s workload.Spec, scale int, opt wo
 	key := s.Key(scale, opt)
 	c.mu.Lock()
 	if ent, ok := c.entries[key]; ok {
-		c.unlink(ent)
-		c.pushFront(ent)
+		c.lru.MoveToFront(ent.elem)
 		c.mu.Unlock()
 		c.hits.Add(1)
 		select {
@@ -158,8 +118,8 @@ func (c *BuildCache) Get(ctx context.Context, s workload.Spec, scale int, opt wo
 		}
 	}
 	ent := &buildEntry{key: key, ready: make(chan struct{})}
+	ent.elem = c.lru.PushFront(ent)
 	c.entries[key] = ent
-	c.pushFront(ent)
 	c.mu.Unlock()
 
 	c.misses.Add(1)
@@ -226,9 +186,6 @@ func (c *BuildCache) StoreHits() int64 { return c.storeHits.Load() }
 
 // Evictions returns how many completed entries the LRU bound has dropped.
 func (c *BuildCache) Evictions() int64 { return c.evictions.Load() }
-
-// Capacity returns the configured LRU bound (0 = unbounded).
-func (c *BuildCache) Capacity() int { return c.capacity }
 
 // Len returns the number of distinct keys built or building.
 func (c *BuildCache) Len() int {

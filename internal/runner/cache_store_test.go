@@ -34,7 +34,7 @@ func TestBuildCacheStoreWarmRestart(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	c1 := NewBuildCacheStore(compile, 0, st1)
+	c1 := NewBuildCache(compile, 0, st1)
 	pr1, _, err := c1.Get(ctx, spec, 1, workload.BuildOptions{EDVI: true})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestBuildCacheStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewBuildCacheStore(compile, 0, st2)
+	c2 := NewBuildCache(compile, 0, st2)
 	pr2, img2, err := c2.Get(ctx, spec, 1, workload.BuildOptions{EDVI: true})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestBuildCacheStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3 := NewBuildCacheStore(compile, 0, st3)
+	c3 := NewBuildCache(compile, 0, st3)
 	if _, _, err := c3.Get(ctx, spec, 1, workload.BuildOptions{EDVI: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBuildCacheEvictWhileFilling(t *testing.T) {
 		otherCalls.Add(1)
 		return prog.New(), &prog.Image{}, nil
 	}
-	c := NewBuildCacheLRU(compile, 1)
+	c := NewBuildCache(compile, 1, nil)
 	ctx := context.Background()
 
 	fillerDone := make(chan *prog.Program, 1)
@@ -181,7 +181,7 @@ func TestBuildCacheEvictWhileFilling(t *testing.T) {
 // eviction path.
 func TestBuildCacheEvictFillStress(t *testing.T) {
 	var calls atomic.Int64
-	c := NewBuildCacheLRU(stubCompile(&calls), 2)
+	c := NewBuildCache(stubCompile(&calls), 2, nil)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

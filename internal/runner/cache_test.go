@@ -29,7 +29,7 @@ func stubCompile(calls *atomic.Int64) CompileFunc {
 
 func TestBuildCacheLRUEviction(t *testing.T) {
 	var calls atomic.Int64
-	c := NewBuildCacheLRU(stubCompile(&calls), 2)
+	c := NewBuildCache(stubCompile(&calls), 2, nil)
 	ctx := context.Background()
 	get := func(name string) {
 		t.Helper()
@@ -67,7 +67,7 @@ func TestBuildCacheLRUEviction(t *testing.T) {
 
 func TestBuildCacheUnboundedNeverEvicts(t *testing.T) {
 	var calls atomic.Int64
-	c := NewBuildCache(stubCompile(&calls))
+	c := NewBuildCache(stubCompile(&calls), 0, nil)
 	ctx := context.Background()
 	for i := 0; i < 100; i++ {
 		if _, _, err := c.Get(ctx, fakeSpec(fmt.Sprintf("w%d", i)), 1, workload.BuildOptions{}); err != nil {
@@ -86,7 +86,7 @@ func TestBuildCacheUnboundedNeverEvicts(t *testing.T) {
 func TestBuildCacheLRUSingleFlightUnderBound(t *testing.T) {
 	var calls atomic.Int64
 	const capacity = 4
-	c := NewBuildCacheLRU(stubCompile(&calls), capacity)
+	c := NewBuildCache(stubCompile(&calls), capacity, nil)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -131,7 +131,7 @@ func TestBuildCacheJoinInFlightCountsHit(t *testing.T) {
 		<-release
 		return prog.New(), &prog.Image{}, nil
 	}
-	c := NewBuildCache(compile)
+	c := NewBuildCache(compile, 0, nil)
 	ctx := context.Background()
 
 	compilerDone := make(chan error, 1)

@@ -278,7 +278,7 @@ func New(opt Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: w, progress: opt.Progress, cache: NewBuildCacheStore(opt.Compile, opt.CacheCapacity, opt.Store)}
+	return &Engine{workers: w, progress: opt.Progress, cache: NewBuildCache(opt.Compile, opt.CacheCapacity, opt.Store)}
 }
 
 // Workers returns the configured pool size.

@@ -98,7 +98,7 @@ func TestSingleFlight(t *testing.T) {
 		<-gate
 		return workload.CompileSpec(s, scale, opt)
 	}
-	cache := NewBuildCache(compile)
+	cache := NewBuildCache(compile, 0, nil)
 	s, _ := workload.ByName("compress")
 
 	const waiters = 8

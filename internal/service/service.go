@@ -228,9 +228,12 @@ func New(cfg Config) *Server {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/jobs", s.heavy("jobs", s.handleJobs))
-	mux.HandleFunc("POST /v1/annotate", s.heavy("annotate", s.handleAnnotate))
-	mux.HandleFunc("POST /v1/simulate", s.heavy("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/ctxswitch", s.heavy("ctxswitch", s.handleCtxSwitch))
+	mux.HandleFunc("POST /v1/annotate", s.heavy("annotate",
+		v1(s, s.prepareAnnotate, func(l *JobResult) any { return l.Annotate })))
+	mux.HandleFunc("POST /v1/simulate", s.heavy("simulate",
+		v1(s, s.prepareSimulate, func(l *JobResult) any { return l.Simulate })))
+	mux.HandleFunc("POST /v1/ctxswitch", s.heavy("ctxswitch",
+		v1(s, s.prepareCtxSwitch, func(l *JobResult) any { return l.CtxSwitch })))
 	mux.HandleFunc("GET /v1/workloads", s.light("workloads", s.handleWorkloads))
 	mux.HandleFunc("GET /healthz", s.light("healthz", s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.light("metrics", s.handleMetrics))
@@ -511,6 +514,20 @@ func (s *Server) resolveSource(name, asm string, scale int) (workload.Spec, int,
 	return workload.Spec{}, 0, fmt.Errorf("one of workload or asm is required")
 }
 
+// RouteKey names the binary that a request's source builds, whatever
+// its flavour: the workload name and the scale the server runs it at, or
+// the assembly's digest at scale 1. A gateway that routes by it sends
+// every flavour of one source to one backend, so the source compiles
+// once across the fleet. A source that does not resolve keys as "":
+// every server answers it with the same 400.
+func (s *Server) RouteKey(name, asm string, scale int) string {
+	spec, scale, err := s.resolveSource(name, asm, scale)
+	if err != nil {
+		return ""
+	}
+	return spec.Name + "/x" + strconv.Itoa(scale)
+}
+
 // asmSpec wraps the assembly text in a synthetic spec whose name
 // content-addresses the source, so identical submissions share one
 // build-cache key. The text travels inside the spec itself (Spec.Asm):
@@ -535,68 +552,31 @@ func (s *Server) clampInsts(v uint64) uint64 {
 }
 
 // --- handlers ---
-//
-// The /v1 one-shot endpoints are shims: each validates through the same
-// prepare step and executes through the same session path as a /v2/jobs
-// batch entry of the corresponding kind, then unwraps the single result.
-// Their response bytes are pinned against the pre-shim wire format by
-// TestV1GoldenShims.
 
-func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	var req AnnotateRequest
-	if err := readJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+// v1 serves a /v1 one-shot endpoint as a shim over the /v2 path: it
+// decodes the request, validates it through the same prepare step as a
+// /v2/jobs batch entry of its kind, executes it as a one-job batch and
+// writes the payload the result line carries. The response bytes are
+// pinned against the pre-shim wire format by TestV1GoldenShims.
+func v1[Req any](s *Server, prepare func(*Req) (*preparedJob, *httpError), payload func(*JobResult) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := readJSON(r, &req); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		pj, herr := prepare(&req)
+		if herr != nil {
+			s.writeError(w, herr.code, "%s", herr.msg)
+			return
+		}
+		line, err := s.executeOne(r.Context(), pj)
+		if err != nil {
+			s.runError(w, r, err)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, payload(line))
 	}
-	pj, herr := s.prepareAnnotate(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	var line JobResult
-	if herr := pj.inline(r.Context(), &line); herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, line.Annotate)
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if err := readJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	pj, herr := s.prepareSimulate(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	line, err := s.executeOne(r.Context(), pj)
-	if err != nil {
-		s.runError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, line.Simulate)
-}
-
-func (s *Server) handleCtxSwitch(w http.ResponseWriter, r *http.Request) {
-	var req CtxSwitchRequest
-	if err := readJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	pj, herr := s.prepareCtxSwitch(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	line, err := s.executeOne(r.Context(), pj)
-	if err != nil {
-		s.runError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, line.CtxSwitch)
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {

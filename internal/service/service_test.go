@@ -263,6 +263,39 @@ func TestAnnotateAsmInput(t *testing.T) {
 	}
 }
 
+// TestAnnotateRuntimeErrorStatuses pins the status and message of the two
+// failures /v1/annotate can only meet while it runs, after the request
+// has validated: assembly that does not parse is the client's fault
+// (400), a build that fails is the server's (500).
+func TestAnnotateRuntimeErrorStatuses(t *testing.T) {
+	ts := httptest.NewServer(service.New(service.Config{
+		Compile: func(s workload.Spec, scale int, opt workload.BuildOptions) (*prog.Program, *prog.Image, error) {
+			return nil, nil, fmt.Errorf("toolchain offline")
+		},
+	}))
+	defer ts.Close()
+
+	cases := []struct {
+		name, body, prefix string
+		want               int
+	}{
+		{"bad assembly", `{"asm":"frob t0\n"}`, "parse: asm line 1", http.StatusBadRequest},
+		{"failed build", `{"workload":"li"}`, "build li:", http.StatusInternalServerError},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, body := postJSON(t, ts.URL+"/v1/annotate", c.body)
+			var e service.Error
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("error body not standard JSON: %s", body)
+			}
+			if code != c.want || !strings.HasPrefix(e.Message, c.prefix) {
+				t.Fatalf("HTTP %d %q, want %d %q...", code, e.Message, c.want, c.prefix)
+			}
+		})
+	}
+}
+
 // asService unwraps err into *service.Error.
 func asService(err error, target **service.Error) bool {
 	se, ok := err.(*service.Error)

@@ -16,6 +16,7 @@ package store
 
 import (
 	"bufio"
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -75,9 +76,8 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry // file stem -> entry
-	// Doubly-linked LRU list; head is most recently used.
-	head, tail *entry
-	bytes      int64
+	lru     list.List         // of *entry; front is most recently used
+	bytes   int64
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -89,10 +89,10 @@ type Store struct {
 
 // entry is one on-disk artifact tracked in the LRU index.
 type entry struct {
-	id         string // file stem: kind-hash
-	kind, key  string
-	size       int64 // full file size, header included
-	prev, next *entry
+	id        string // file stem: kind-hash
+	kind, key string
+	size      int64 // full file size, header included
+	elem      *list.Element
 }
 
 // Stats is a snapshot of store traffic counters.
@@ -156,7 +156,7 @@ func Open(opt Options) (*Store, error) {
 			mtime: fi.ModTime(),
 		})
 	}
-	// Oldest first so the most recently used entry ends up at the head.
+	// Oldest first so the most recently used entry ends up at the front.
 	sort.Slice(found, func(i, j int) bool {
 		if !found[i].mtime.Equal(found[j].mtime) {
 			return found[i].mtime.Before(found[j].mtime)
@@ -164,9 +164,7 @@ func Open(opt Options) (*Store, error) {
 		return found[i].e.id < found[j].e.id
 	})
 	for _, s := range found {
-		st.entries[s.e.id] = s.e
-		st.pushFront(s.e)
-		st.bytes += s.e.size
+		st.addLocked(s.e)
 	}
 	st.mu.Lock()
 	victims := st.evictLocked()
@@ -263,8 +261,7 @@ func (st *Store) Get(kind, key string) ([]byte, bool) {
 	}
 	st.mu.Lock()
 	if st.entries[stem] == e {
-		st.unlink(e)
-		st.pushFront(e)
+		st.lru.MoveToFront(e.elem)
 	}
 	st.mu.Unlock()
 	now := time.Now()
@@ -351,14 +348,9 @@ func (st *Store) Put(kind, key string, payload []byte) error {
 	}
 	st.mu.Lock()
 	if old, ok := st.entries[stem]; ok {
-		st.unlink(old)
-		delete(st.entries, stem)
-		st.bytes -= old.size
+		st.dropLocked(old)
 	}
-	e := &entry{id: stem, kind: kind, key: key, size: int64(len(data))}
-	st.entries[stem] = e
-	st.pushFront(e)
-	st.bytes += e.size
+	st.addLocked(&entry{id: stem, kind: kind, key: key, size: int64(len(data))})
 	victims := st.evictLocked()
 	st.mu.Unlock()
 	st.puts.Add(1)
@@ -368,9 +360,17 @@ func (st *Store) Put(kind, key string, payload []byte) error {
 	return nil
 }
 
+// addLocked indexes e as the most recently used entry. Caller holds mu
+// (or owns st exclusively, as Open does).
+func (st *Store) addLocked(e *entry) {
+	e.elem = st.lru.PushFront(e)
+	st.entries[e.id] = e
+	st.bytes += e.size
+}
+
 // dropLocked forgets e without touching its file. Caller holds mu.
 func (st *Store) dropLocked(e *entry) {
-	st.unlink(e)
+	st.lru.Remove(e.elem)
 	delete(st.entries, e.id)
 	st.bytes -= e.size
 }
@@ -395,42 +395,12 @@ func (st *Store) evictLocked() (victims []string) {
 		return nil
 	}
 	for st.bytes > st.budget && len(st.entries) > 1 {
-		e := st.tail
-		if e == nil {
-			break
-		}
+		e := st.lru.Back().Value.(*entry)
 		victims = append(victims, e.id)
 		st.dropLocked(e)
 		st.evictions.Add(1)
 	}
 	return victims
-}
-
-// unlink removes e from the LRU list. Caller holds mu.
-func (st *Store) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if st.head == e {
-		st.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if st.tail == e {
-		st.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront makes e the most recently used entry. Caller holds mu.
-func (st *Store) pushFront(e *entry) {
-	e.prev, e.next = nil, st.head
-	if st.head != nil {
-		st.head.prev = e
-	}
-	st.head = e
-	if st.tail == nil {
-		st.tail = e
-	}
 }
 
 // Stats returns a snapshot of the store's counters.

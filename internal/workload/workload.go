@@ -107,10 +107,11 @@ type BuildKey struct {
 }
 
 // Key returns the build cache key for compiling s at scale with opt. The
-// scale is clamped exactly as CompileSpec clamps it, so keys that compile
-// identically compare equal.
+// scale is clamped exactly as CompileSpec clamps it, and an
+// assembly-backed spec, which CompileSpec builds at no scale, keys at 1,
+// so keys that compile identically compare equal.
 func (s Spec) Key(scale int, opt BuildOptions) BuildKey {
-	if scale < 1 {
+	if scale < 1 || s.Asm != "" {
 		scale = 1
 	}
 	k := BuildKey{Name: s.Name, Scale: scale, Infer: opt.Infer}
