@@ -98,15 +98,11 @@ func main() {
 		logger.Info("artifact store open", "dir", *storeDir, "entries", st.Len())
 	}
 
-	cacheCap := *cache
-	if cacheCap < 0 {
-		cacheCap = -1 // service.Config: negative = unbounded
-	}
 	svc := service.New(service.Config{
 		Workers:         *workers,
 		MaxConcurrent:   *concurrent,
 		MaxQueue:        *queue,
-		CacheCapacity:   cacheCap,
+		CacheCapacity:   *cache,
 		MaxInsts:        *maxInsts,
 		MaxScale:        *maxScale,
 		MaxJobs:         *maxJobs,

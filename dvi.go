@@ -96,9 +96,11 @@ type (
 	// handle owning one execution engine, its single-flight build cache,
 	// and the pooled machine/emulator instances. Every run — the
 	// one-shot functions here, the harness and CLIs, the HTTP service —
-	// is a RunnerJob submitted to a Session (Run, Collect,
-	// CollectSampled). Construct with NewSession; the one-shot facade
-	// functions share a lazily-initialized DefaultSession.
+	// is a RunnerJob, exact or with a sampling plan, submitted to a
+	// Session: Run streams a batch's results in order, and Collect
+	// gathers them or returns the lowest-index failure. Construct with
+	// NewSession; the one-shot facade functions share a
+	// lazily-initialized DefaultSession.
 	Session = session.Session
 	// SessionOption configures a Session at construction time; see
 	// WithWorkers.
@@ -269,12 +271,12 @@ func Simulate(w Workload, scale int, cfg MachineConfig) (MachineStats, error) {
 // with a confidence interval. Architectural counts (eliminations, kills,
 // faults) are exact; cycles and IPC carry the reported error bound. The
 // machine must pass its Check, run one context (a checkpoint restores
-// one architectural state) and carry no trace sink.
+// one architectural state) and carry no trace sink; one that does not is
+// refused before any build.
 func SimulateSampled(w Workload, scale int, cfg MachineConfig, opt SamplingOptions) (SampledEstimate, error) {
-	if err := sample.CheckMachine(cfg); err != nil {
-		return SampledEstimate{}, err
-	}
-	out, err := DefaultSession().CollectSampled(context.Background(), []RunnerJob{timingJob(w, scale, cfg)}, opt)
+	j := timingJob(w, scale, cfg)
+	j.Sampling = &opt
+	out, err := DefaultSession().Collect(context.Background(), []RunnerJob{j})
 	if err != nil {
 		return SampledEstimate{}, err
 	}

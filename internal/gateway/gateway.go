@@ -51,13 +51,15 @@ const (
 	DefaultBreakerFailures = 3
 	DefaultBreakerCooldown = 2 * time.Second
 	DefaultHealthInterval  = 2 * time.Second
-	DefaultVirtualNodes    = 64
-	DefaultMaxInflight     = 16
 	// DefaultMaxResponseBytes is deliberately far above the request
 	// limit: simulate responses carrying a full trace routinely dwarf
 	// the request that asked for them.
 	DefaultMaxResponseBytes = 256 << 20
 )
+
+// maxInflight bounds how many jobs of one /v2 batch are dispatched at
+// once.
+const maxInflight = 16
 
 // Config parameterizes a Gateway.
 type Config struct {
@@ -88,12 +90,6 @@ type Config struct {
 	// HealthInterval is the active health-check period
 	// (0 = DefaultHealthInterval).
 	HealthInterval time.Duration
-	// VirtualNodes is the consistent-hash ring's points per backend
-	// (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// MaxInflight bounds concurrently dispatched jobs per /v2 batch
-	// (0 = DefaultMaxInflight).
-	MaxInflight int
 	// MaxRequestBytes bounds request bodies
 	// (0 = service.DefaultMaxRequestBytes).
 	MaxRequestBytes int64
@@ -185,9 +181,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = DefaultHealthInterval
 	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = DefaultMaxInflight
-	}
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = service.DefaultMaxRequestBytes
 	}
@@ -200,7 +193,7 @@ func New(cfg Config) (*Gateway, error) {
 
 	g := &Gateway{
 		cfg:   cfg,
-		ring:  newRing(cfg.Backends, cfg.VirtualNodes),
+		ring:  newRing(cfg.Backends),
 		local: cfg.Local,
 		log:   cfg.Logger,
 		start: time.Now(),
@@ -609,13 +602,8 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		g.met.observe("jobs", code)
 	}()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
-	if err != nil {
-		code = http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		g.writeError(w, code, "read request body: %v", err)
+	body, code := g.readBody(w, r)
+	if code != http.StatusOK {
 		return
 	}
 	var req service.JobsRequest
@@ -673,7 +661,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	n := len(req.Jobs)
 	results := make([][]byte, n)
 	readyCh := make(chan int, n)
-	sem := make(chan struct{}, g.cfg.MaxInflight)
+	sem := make(chan struct{}, maxInflight)
 	for i := range req.Jobs {
 		go func(i int) {
 			sem <- struct{}{}
@@ -742,13 +730,8 @@ func (g *Gateway) proxyHandler(endpoint, path string) http.HandlerFunc {
 			g.met.observe(endpoint, code)
 		}()
 
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
-		if err != nil {
-			code = http.StatusBadRequest
-			if errors.As(err, new(*http.MaxBytesError)) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			g.writeError(w, code, "read request body: %v", err)
+		var body []byte
+		if body, code = g.readBody(w, r); code != http.StatusOK {
 			return
 		}
 		// A loose decode for routing only; the backend (or the local
@@ -835,6 +818,22 @@ func (g *Gateway) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- helpers ---
+
+// readBody reads a request body bounded by MaxRequestBytes. On failure
+// it answers as a single-node daemon does (413 over the limit, 400
+// otherwise) and returns the status it wrote; on success it returns 200.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxRequestBytes))
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		g.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", g.cfg.MaxRequestBytes)
+		return nil, http.StatusRequestEntityTooLarge
+	case err != nil:
+		g.writeError(w, http.StatusBadRequest, "read request body: %v", err)
+		return nil, http.StatusBadRequest
+	}
+	return body, http.StatusOK
+}
 
 func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")

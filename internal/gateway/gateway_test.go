@@ -593,3 +593,56 @@ func TestGatewayChaos(t *testing.T) {
 		gatewayMetric(t, gts, "dvid_gateway_fallback_local_total"),
 		hang.Counters().Hung, corrupt.Counters().Corrupted)
 }
+
+// TestGatewayErrorParity sends a gateway and a single node, both with
+// the same MaxRequestBytes, three requests that fail: an over-limit
+// /v2/jobs body, an over-limit /v1/simulate body, and a /v1/simulate
+// whose assembly passes validation and then fails at link. Each of the
+// gateway's answers must match the node's in status and body, and none
+// may be retried, hedged or served by the local fallback: a
+// deterministic failure is an answer, not an outage.
+func TestGatewayErrorParity(t *testing.T) {
+	const limit = 1 << 10
+	node := httptest.NewServer(service.New(service.Config{MaxRequestBytes: limit}))
+	defer node.Close()
+	backend := httptest.NewServer(service.New(service.Config{MaxRequestBytes: limit}))
+	defer backend.Close()
+	cfg := fastConfig([]string{backend.URL}, service.New(service.Config{MaxRequestBytes: limit}))
+	cfg.MaxRequestBytes = limit
+	// Long enough that a hedge can only mean the failure was not final.
+	cfg.HedgeAfter = time.Second
+	gw, err := gateway.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw)
+	defer gts.Close()
+
+	big := `{"workload":"li","asm":"` + strings.Repeat(" ", 2*limit) + `"}`
+	for _, tc := range []struct {
+		name, path, body string
+		code             int
+		msg              string
+	}{
+		{"over-limit batch", "/v2/jobs", `{"jobs":[{"kind":"simulate","simulate":` + big + `}]}`,
+			http.StatusRequestEntityTooLarge, "request body exceeds 1024 bytes"},
+		{"over-limit simulate", "/v1/simulate", big,
+			http.StatusRequestEntityTooLarge, "request body exceeds 1024 bytes"},
+		{"no main", "/v1/simulate", `{"asm":".proc foo\n  halt\n"}`,
+			http.StatusBadRequest, `entry procedure \"main\" not defined`},
+	} {
+		wantCode, _, want := post(t, node.URL+tc.path, tc.body)
+		if wantCode != tc.code || !strings.Contains(string(want), tc.msg) {
+			t.Fatalf("%s: single node answered %d %s, want %d naming %q", tc.name, wantCode, want, tc.code, tc.msg)
+		}
+		code, _, got := post(t, gts.URL+tc.path, tc.body)
+		if code != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("%s: gateway answered %d %s, single node %d %s", tc.name, code, got, wantCode, want)
+		}
+	}
+	for _, name := range []string{"dvid_retries_total", "dvid_hedges_total", "dvid_gateway_fallback_local_total"} {
+		if v := gatewayMetric(t, gts, name); v != 0 {
+			t.Errorf("%s = %v, want 0", name, v)
+		}
+	}
+}

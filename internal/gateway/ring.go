@@ -8,7 +8,7 @@ import (
 )
 
 // ring is a consistent-hash ring over backend indices. Each backend
-// owns vnodes points on a 64-bit circle; a key routes to the backend
+// owns virtualNodes points on a 64-bit circle; a key routes to the backend
 // owning the first point clockwise of the key's hash. Routing by build
 // key keeps every flavour of one workload on one backend, so the
 // fleet-wide build cache stays single-flight per key: N gateways or N
@@ -25,16 +25,16 @@ type ringPoint struct {
 	idx  int // backend index
 }
 
+// virtualNodes is the number of ring points each backend owns.
+const virtualNodes = 64
+
 // newRing builds a ring over n backends identified by ids (typically
 // their URLs, so point placement is stable across restarts and across
 // gateway replicas seeing the same fleet).
-func newRing(ids []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+func newRing(ids []string) *ring {
 	r := &ring{n: len(ids)}
 	for i, id := range ids {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", id, v)), idx: i})
 		}
 	}

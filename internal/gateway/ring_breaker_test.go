@@ -12,7 +12,7 @@ import (
 
 func TestRingOrderedCoversAllBackends(t *testing.T) {
 	ids := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(ids, 64)
+	r := newRing(ids)
 	counts := make([]int, len(ids))
 	for i := 0; i < 1000; i++ {
 		ord := r.ordered(fmt.Sprintf("key-%d", i))
@@ -39,8 +39,8 @@ func TestRingOrderedCoversAllBackends(t *testing.T) {
 }
 
 func TestRingStableUnderMembershipChange(t *testing.T) {
-	full := newRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 64)
-	reduced := newRing([]string{"http://a:1", "http://b:1"}, 64)
+	full := newRing([]string{"http://a:1", "http://b:1", "http://c:1"})
+	reduced := newRing([]string{"http://a:1", "http://b:1"})
 	moved := 0
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -58,7 +58,7 @@ func TestRingStableUnderMembershipChange(t *testing.T) {
 		t.Errorf("%d keys owned by surviving backends moved on membership change", moved)
 	}
 	// Determinism: the same ids build the same ring.
-	again := newRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 64)
+	again := newRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		a, b := full.ordered(key), again.ordered(key)

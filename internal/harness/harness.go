@@ -36,8 +36,9 @@ type Options struct {
 	// (<=0 = runtime.GOMAXPROCS(0)). Results are deterministic at any
 	// setting; only wall-clock changes.
 	Workers int
-	// Sampling, when set, runs every timing job through the statistical
-	// sampler (internal/sample) instead of exact detailed simulation:
+	// Sampling, when set, runs every single-context timing job through
+	// the statistical sampler (internal/sample; CollectResults puts it on
+	// each such job) instead of exact detailed simulation:
 	// IPC figures become estimates, gain ±CI error-bound columns, and
 	// the report runs several times faster. Exact mode (nil) is the
 	// default and its output is byte-identical to previous releases.

@@ -62,15 +62,16 @@ func CollectResults(ctx context.Context, sess *session.Session, opt Options, ids
 		spans = append(spans, span{fig.ID, len(jobs), len(jobs) + len(js)})
 		jobs = append(jobs, js...)
 	}
-	var (
-		results []runner.Result
-		err     error
-	)
 	if opt.Sampling != nil {
-		results, err = sess.CollectSampled(ctx, jobs, *opt.Sampling)
-	} else {
-		results, err = sess.Collect(ctx, jobs)
+		// A checkpoint restores one architectural state, so multi-context
+		// (smt) jobs stay exact.
+		for i, j := range jobs {
+			if j.Kind == runner.Timing && j.Machine.ContextCount() == 1 {
+				jobs[i].Sampling = opt.Sampling
+			}
+		}
 	}
+	results, err := sess.Collect(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func TestProgressOrderingContract(t *testing.T) {
 	}})
 
 	jobs := grid(Build)
-	if _, err := eng.Run(context.Background(), jobs); err != nil {
+	if _, err := collect(context.Background(), eng, jobs); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

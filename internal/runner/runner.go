@@ -5,15 +5,18 @@
 // package owns all concurrency so the experiments themselves stay
 // declarative and deterministic.
 //
-// Determinism contract: Run returns results indexed by submission order
-// regardless of completion order, every simulator instance is built from
-// shared read-only compiled artifacts with private mutable state, and no
-// job observes another job's scheduling. A report rendered from the
-// result slice is therefore byte-identical at any worker count.
+// Stream is the engine's only batch call. Determinism contract: it
+// delivers results in submission order regardless of completion order,
+// every simulator instance is built from shared read-only compiled
+// artifacts with private mutable state, and no job observes another
+// job's scheduling. A report rendered from the delivered results is
+// therefore byte-identical at any worker count, and so is the failure a
+// caller that stops at the first failed result reports.
 package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -105,6 +108,12 @@ type Job struct {
 	// acquired from AcquireCheckpoint).
 	Sample *sample.Checkpoint
 
+	// Sampling, when set on a Timing job, estimates it by statistical
+	// sampling under this plan instead of an exact detailed run. The
+	// session's sampler runs such jobs (session.Session.Run); the engine
+	// refuses them.
+	Sampling *sample.Options
+
 	// KeepMachine retains the Timing simulator instance on the Result
 	// for callers that need cache/predictor detail (cmd/dvisim). Off by
 	// default: a machine pins its whole memory image, and large grids
@@ -154,9 +163,8 @@ type Result struct {
 	// stats. Exact runs leave it nil.
 	Sampled *sample.Estimate
 
-	// Err is the job's failure, wrapped with its label. Run never returns
-	// results with Err set (it fails fast instead); Stream sets it on the
-	// failed job's result and keeps the batch going.
+	// Err is the job's failure, wrapped with its label. Stream sets it on
+	// the failed job's result and keeps the batch going.
 	Err error
 }
 
@@ -168,7 +176,7 @@ const (
 	JobStart Phase = iota
 	// JobDone fires after the job completed successfully.
 	JobDone
-	// JobFailed fires once for the job whose error aborts the run.
+	// JobFailed fires after the job failed.
 	JobFailed
 )
 
@@ -297,94 +305,6 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// pool is the shared worker-pool core behind Run and Stream: it spawns
-// up to min(workers, len(jobs)) goroutines, hands out jobs by an atomic
-// counter, emits JobStart plus JobDone/JobFailed events, and calls handle
-// from worker goroutines with each finished job's (index, result, error).
-// A job abandoned by ctx cancellation mid-run is not handled — the batch
-// is over. handle returning false retires the calling worker (fail-fast
-// callers pair it with cancelling ctx). pool returns once every worker
-// has exited.
-func (e *Engine) pool(ctx context.Context, jobs []Job, handle func(i int, res Result, err error) bool) {
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	next.Store(-1)
-	submitted := time.Now() // queue-wait baseline for the batch's spans
-	workers := e.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(jobs) || ctx.Err() != nil {
-					return
-				}
-				j := jobs[i]
-				e.emit(Event{Phase: JobStart, Index: i, Total: len(jobs), Label: j.label()})
-				res, err := e.runJob(ctx, j, time.Since(submitted))
-				if err != nil {
-					if ctx.Err() != nil {
-						// Abandoned by cancellation; not this job's fault.
-						return
-					}
-					e.emit(Event{Phase: JobFailed, Index: i, Total: len(jobs), Label: j.label(), Err: err})
-				} else {
-					e.emit(Event{Phase: JobDone, Index: i, Total: len(jobs), Label: j.label()})
-				}
-				if !handle(i, res, err) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Run executes jobs on the worker pool and returns results in submission
-// order. On the first job error the run fails fast: the context passed
-// to builds is cancelled, queued jobs are abandoned, in-flight jobs
-// finish, and the triggering error is returned (wrapped with the job's
-// label). External cancellation of ctx aborts the same way and returns
-// ctx's error. A nil error guarantees one Result per job.
-func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	if len(jobs) == 0 {
-		return nil, ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]Result, len(jobs))
-	var (
-		firstErr error
-		errOnce  sync.Once
-	)
-	e.pool(ctx, jobs, func(i int, res Result, err error) bool {
-		if err != nil {
-			errOnce.Do(func() {
-				firstErr = fmt.Errorf("%s: %w", jobs[i].label(), err)
-				cancel()
-			})
-			return false
-		}
-		res.Index = i
-		results[i] = res
-		return true
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // getMachine returns a pooled timing machine reset for (pr, img, cfg), or
 // a fresh one when the pool is empty.
 func (e *Engine) getMachine(pr *prog.Program, img *prog.Image, cfg ooo.Config) *ooo.Machine {
@@ -432,6 +352,9 @@ func (e *Engine) putEmu(em *emu.Emulator) {
 // is how long the job sat queued behind the batch before a worker picked
 // it up; it only annotates the job's span (zero cost with tracing off).
 func (e *Engine) runJob(ctx context.Context, j Job, queueWait time.Duration) (Result, error) {
+	if j.Sampling != nil {
+		return Result{}, errors.New("runner: a job with a sampling plan runs through the session's sampler")
+	}
 	ctx, span := obs.StartSpan(ctx, "job")
 	if span != nil {
 		span.SetAttr("label", j.label())

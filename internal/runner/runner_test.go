@@ -32,6 +32,24 @@ func countingCompile(t *testing.T) (CompileFunc, *sync.Map) {
 	return fn, &counts
 }
 
+// collect gathers a batch over Stream the way session.Collect does: the
+// results in submission order, or the lowest-index failure, which
+// cancels the rest of the batch.
+func collect(ctx context.Context, eng *Engine, jobs []Job) ([]Result, error) {
+	var out []Result
+	err := eng.Stream(ctx, jobs, func(r Result) error {
+		if r.Err != nil {
+			return r.Err
+		}
+		out = append(out, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // grid builds a job list that references few distinct binaries many
 // times: every workload at two EDVI flavours, four jobs each.
 func grid(kind Kind) []Job {
@@ -61,7 +79,7 @@ func TestBuildCacheCompilesOncePerKey(t *testing.T) {
 	eng := New(Options{Workers: 8, Compile: compile})
 	jobs := grid(Build)
 
-	results, err := eng.Run(context.Background(), jobs)
+	results, err := collect(context.Background(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +144,7 @@ func TestSingleFlight(t *testing.T) {
 func TestResultsInSubmissionOrder(t *testing.T) {
 	eng := New(Options{Workers: 8})
 	jobs := grid(Functional)
-	results, err := eng.Run(context.Background(), jobs)
+	results, err := collect(context.Background(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +165,11 @@ func TestResultsInSubmissionOrder(t *testing.T) {
 // -j 8 and requires identical statistics position by position.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := grid(Functional)
-	r1, err := New(Options{Workers: 1}).Run(context.Background(), jobs)
+	r1, err := collect(context.Background(), New(Options{Workers: 1}), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := New(Options{Workers: 8}).Run(context.Background(), jobs)
+	r8, err := collect(context.Background(), New(Options{Workers: 8}), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +192,7 @@ func TestFailFast(t *testing.T) {
 		return workload.CompileSpec(s, scale, opt)
 	}
 	eng := New(Options{Workers: 4, Compile: compile})
-	_, err := eng.Run(context.Background(), grid(Build))
+	_, err := collect(context.Background(), eng, grid(Build))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -188,7 +206,7 @@ func TestExternalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	eng := New(Options{Workers: 2})
-	_, err := eng.Run(ctx, grid(Build))
+	_, err := collect(ctx, eng, grid(Build))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -211,7 +229,7 @@ func TestProgressEvents(t *testing.T) {
 		}
 	}})
 	jobs := grid(Build)
-	if _, err := eng.Run(context.Background(), jobs); err != nil {
+	if _, err := collect(context.Background(), eng, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if starts != len(jobs) || dones != len(jobs) {
@@ -224,7 +242,7 @@ func TestTimingJobCarriesMachine(t *testing.T) {
 	cfg := ooo.DefaultConfig()
 	cfg.MaxInsts = 20_000
 	eng := New(Options{Workers: 1})
-	res, err := eng.Run(context.Background(), []Job{{
+	res, err := collect(context.Background(), eng, []Job{{
 		Workload: s, Scale: 1,
 		Build:       workload.BuildOptions{EDVI: true},
 		Kind:        Timing,
@@ -269,11 +287,29 @@ func TestSampledIntervalChecksMachine(t *testing.T) {
 	}{{smt, "single-context"}, {neg, "window_size"}, {traced, "mutually exclusive"}, {huge, "phys_regs"}} {
 		ck := &sample.Checkpoint{MeasureLen: 1}
 		ck.Record(ooo.DefaultConfig(), sample.IntervalResult{Insts: 1, Cycles: 1, MaxPhys: 40})
-		_, err := eng.Run(context.Background(), []Job{{
+		_, err := collect(context.Background(), eng, []Job{{
 			Workload: li, Scale: 1, Kind: SampledInterval, Machine: tc.cfg, Sample: ck,
 		}})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v, want one naming %q", err, tc.want)
 		}
 	}
+}
+
+// TestEngineRefusesSampledJob pins that a job carrying a sampling plan
+// fails on the engine, before any build: the session's sampler runs
+// such jobs, and an exact run would silently drop the plan.
+func TestEngineRefusesSampledJob(t *testing.T) {
+	compile, counts := countingCompile(t)
+	eng := New(Options{Workers: 1, Compile: compile})
+	li, _ := workload.ByName("li")
+	_, err := collect(context.Background(), eng, []Job{{Label: "sampled li", Workload: li, Scale: 1,
+		Kind: Timing, Machine: ooo.DefaultConfig(), Sampling: &sample.Options{}}})
+	if err == nil || !strings.Contains(err.Error(), "sampled li") || !strings.Contains(err.Error(), "sampling plan") {
+		t.Errorf("err = %v, want a refusal naming the job and its plan", err)
+	}
+	counts.Range(func(k, _ any) bool {
+		t.Errorf("the engine built %v for a job it refuses", k)
+		return true
+	})
 }

@@ -55,18 +55,16 @@ func errf(code int, format string, args ...any) *httpError {
 }
 
 // preparedJob is one validated, ready-to-run unit of work. Engine-backed
-// kinds (exact simulate, ctxswitch) carry a runner job plus a render
-// hook; the rest carry a self-contained inline thunk that fills its
-// result line directly. Annotate is inline because the binary rewriter
+// kinds (simulate, exact or sampled, and ctxswitch) carry a runner job
+// plus a render hook; annotate carries a self-contained inline thunk
+// that fills its result line directly, because the binary rewriter
 // mutates its program and therefore works on private builds outside the
-// shared cache; sampled simulate is inline because the sampler is its
-// own orchestration — it fans interval jobs out across the engine's
-// worker pool itself.
+// shared cache.
 type preparedJob struct {
 	kind   string
 	job    runner.Job
 	render func(runner.Result, *JobResult)
-	inline func(context.Context, *JobResult) *httpError
+	inline func(*JobResult) *httpError
 }
 
 // engineBacked reports whether the job executes on the session's engine.
@@ -246,45 +244,11 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError
 		Machine:  cfg,
 	}
 	if req.Sampling != nil {
-		so := sample.Options{
+		job.Sampling = &sample.Options{
 			Interval: req.Sampling.Interval,
 			Warmup:   req.Sampling.Warmup,
 			TargetCI: req.Sampling.TargetCI,
 		}
-		return &preparedJob{
-			kind: "simulate",
-			inline: func(ctx context.Context, line *JobResult) *httpError {
-				out, err := s.sess.CollectSampled(ctx, []runner.Job{job}, so)
-				if err != nil {
-					return errf(http.StatusBadRequest, "%v", err)
-				}
-				res, est := out[0], out[0].Sampled
-				s.met.observeSim(res.Timing)
-				s.met.observeSampled(est.RelCI)
-				_, rspan := obs.StartSpan(ctx, "render")
-				defer rspan.End()
-				line.Simulate = &SimulateResponse{
-					Workload: spec.Name,
-					Scale:    scale,
-					BuildKey: key,
-					MaxInsts: cfg.MaxInsts,
-					IPC:      est.IPC,
-					Stats:    res.Timing,
-					Sampled: &SampledSummary{
-						Interval:      est.Interval,
-						Warmup:        est.Warmup,
-						Intervals:     est.Intervals,
-						Measured:      est.Measured,
-						TotalInsts:    est.TotalInsts,
-						DetailedInsts: est.DetailedInsts,
-						CIHalfWidth:   est.CIHalfWidth,
-						RelCI:         est.RelCI,
-						Confidence:    est.Confidence,
-					},
-				}
-				return nil
-			},
-		}, nil
 	}
 	return &preparedJob{
 		kind: "simulate",
@@ -300,6 +264,21 @@ func (s *Server) prepareSimulate(req *SimulateRequest) (*preparedJob, *httpError
 				IPC:      st.IPC(),
 				Stats:    st,
 				CtxStats: res.CtxStats,
+			}
+			if est := res.Sampled; est != nil {
+				s.met.observeSampled(est.RelCI)
+				line.Simulate.IPC = est.IPC
+				line.Simulate.Sampled = &SampledSummary{
+					Interval:      est.Interval,
+					Warmup:        est.Warmup,
+					Intervals:     est.Intervals,
+					Measured:      est.Measured,
+					TotalInsts:    est.TotalInsts,
+					DetailedInsts: est.DetailedInsts,
+					CIHalfWidth:   est.CIHalfWidth,
+					RelCI:         est.RelCI,
+					Confidence:    est.Confidence,
+				}
 			}
 			if traceBuf != nil {
 				ts, err := renderTrace(traceBuf, traceFormat)
@@ -435,7 +414,7 @@ func (s *Server) prepareAnnotate(req *AnnotateRequest) (*preparedJob, *httpError
 	default:
 		return nil, errf(http.StatusBadRequest, "one of workload or asm is required")
 	}
-	return &preparedJob{kind: "annotate", inline: func(_ context.Context, line *JobResult) *httpError {
+	return &preparedJob{kind: "annotate", inline: func(line *JobResult) *httpError {
 		resp, herr := thunk()
 		if herr != nil {
 			return herr
@@ -446,40 +425,26 @@ func (s *Server) prepareAnnotate(req *AnnotateRequest) (*preparedJob, *httpError
 }
 
 // executeOne runs a single prepared job through the shared session — the
-// /v1 shim path. Inline jobs (annotate, sampled simulate) run on the
-// calling goroutine; engine-backed jobs submit a one-job batch. The
-// returned error is either the job's failure (an *httpError for inline
-// jobs; otherwise wrapped with its label, for runError to map onto a
-// status) or the request context's cancellation.
+// /v1 shim path. An inline job (annotate) runs on the calling goroutine;
+// engine-backed jobs are collected as a one-job batch. The returned
+// error is either the job's failure (an *httpError for inline jobs;
+// otherwise wrapped with its label, for runError to map onto a status)
+// or the request context's cancellation.
 func (s *Server) executeOne(ctx context.Context, pj *preparedJob) (*JobResult, error) {
-	var (
-		line   JobResult
-		jobErr error
-	)
+	line := JobResult{Kind: pj.kind}
 	if !pj.engineBacked() {
-		line.Kind = pj.kind
-		if herr := pj.inline(ctx, &line); herr != nil {
+		if herr := pj.inline(&line); herr != nil {
 			return nil, herr
 		}
 		return &line, nil
 	}
-	err := s.sess.Run(ctx, []runner.Job{pj.job}, func(res runner.Result) error {
-		if res.Err != nil {
-			jobErr = res.Err
-			return nil
-		}
-		line.Kind = pj.kind
-		_, rspan := obs.StartSpan(ctx, "render")
-		pj.render(res, &line)
-		rspan.End()
-		return nil
-	})
+	out, err := s.sess.Collect(ctx, []runner.Job{pj.job})
 	if err != nil {
 		return nil, err
 	}
-	if jobErr != nil {
-		return nil, jobErr
-	}
+	_, rspan := obs.StartSpan(ctx, "render")
+	pj.render(out[0], &line)
+	rspan.End()
 	return &line, nil
 }
 
@@ -562,14 +527,14 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 
-	// Engine-backed jobs are submitted to the session immediately and run
-	// concurrently on its worker pool, so a leading inline job never
-	// delays engine submission. Inline jobs execute on this goroutine at
-	// their slot in the stream: annotate is compile-bound and cheap, and
-	// a sampled simulate fans its interval jobs out across the same
-	// worker pool itself, so running them serially here keeps a single
-	// batch from oversubscribing the machine (at the cost that an inline
-	// job behind a slow simulation starts only when its slot comes up).
+	// Engine-backed jobs are submitted to the session as one batch at
+	// once, so a leading inline job never delays engine submission. The
+	// session runs the batch's sampled simulates first, one scan group at
+	// a time (same-key jobs share a scan), then the exact jobs on its
+	// worker pool; results come back in submission order. Inline
+	// (annotate) jobs execute on this goroutine at their slot in the
+	// stream: they are compile-bound and cheap, and an inline job behind
+	// a slow simulation starts only when its slot comes up.
 	var engJobs []runner.Job
 	for _, pj := range prepared {
 		if pj.engineBacked() {
@@ -613,7 +578,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				pj.render(res, &line)
 				rspan.End()
 			}
-		} else if herr := pj.inline(r.Context(), &line); herr != nil {
+		} else if herr := pj.inline(&line); herr != nil {
 			line.Error = herr.msg
 		}
 		if err := writeLine(line); err != nil {

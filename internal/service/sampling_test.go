@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -173,4 +174,66 @@ func readAll(t *testing.T, res *http.Response) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestJobsBatchSharesSampledScan sends two sampled simulates on one scan
+// key (the same binary, emulator, caches, predictor and budget; they
+// differ in the register file) as one /v2/jobs batch. The batch runs
+// only as many scans as either runs alone, and each line carries the
+// payload the same request gets from /v1/simulate alone.
+func TestJobsBatchSharesSampledScan(t *testing.T) {
+	reqs := []string{
+		`{"workload":"compress","max_insts":60000,"sampling":{"interval":2000}}`,
+		`{"workload":"compress","max_insts":60000,"machine":{"phys_regs":48},"sampling":{"interval":2000}}`,
+	}
+	scans := func(url string) int64 {
+		_, m := getBody(t, url+"/metrics")
+		return metricValue(t, string(m), `dvid_phase_duration_seconds_count{phase="scan"}`)
+	}
+	var (
+		alone     [][]byte
+		soloScans int64
+	)
+	for _, req := range reqs {
+		ts := httptest.NewServer(service.New(service.Config{}))
+		code, body := postJSON(t, ts.URL+"/v1/simulate", req)
+		if code != http.StatusOK {
+			t.Fatalf("/v1/simulate %s: HTTP %d: %s", req, code, body)
+		}
+		alone = append(alone, bytes.TrimSpace(body))
+		soloScans = max(soloScans, scans(ts.URL))
+		ts.Close()
+	}
+	if soloScans == 0 {
+		t.Fatal("no scan spans recorded on /metrics")
+	}
+
+	ts := httptest.NewServer(service.New(service.Config{}))
+	defer ts.Close()
+	code, body := postJSON(t, ts.URL+"/v2/jobs", `{"jobs":[
+		{"kind":"simulate","simulate":`+reqs[0]+`},
+		{"kind":"simulate","simulate":`+reqs[1]+`}
+	]}`)
+	if code != http.StatusOK {
+		t.Fatalf("/v2/jobs: HTTP %d: %s", code, body)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) != len(reqs) {
+		t.Fatalf("%d result lines, want %d:\n%s", len(lines), len(reqs), body)
+	}
+	for i, raw := range lines {
+		var line struct {
+			Index    int             `json:"index"`
+			Simulate json.RawMessage `json:"simulate"`
+		}
+		if err := json.Unmarshal([]byte(raw), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", raw, err)
+		}
+		if line.Index != i || !bytes.Equal(line.Simulate, alone[i]) {
+			t.Errorf("line %d: index %d, payload\n%s\nwant /v1/simulate's\n%s", i, line.Index, line.Simulate, alone[i])
+		}
+	}
+	if n := scans(ts.URL); n != soloScans {
+		t.Errorf("the batch ran %d scans, want %d: one shared scan per round", n, soloScans)
+	}
 }

@@ -18,76 +18,6 @@ import (
 	"dvi/internal/workload"
 )
 
-// CollectSampled is Collect with every single-context Timing job routed
-// through the statistical sampler under so: each such result carries the
-// estimate on Result.Sampled and the estimate rendered as machine stats
-// on Result.Timing, so figure renderers consume it unchanged. The other
-// jobs (functional, ctx-switch, build, and multi-context timing, since a
-// checkpoint restores one architectural state) run exactly as in
-// Collect, as one batch after the sampled ones. Results are in
-// submission order; the first failure aborts everything. A sampled job
-// whose machine fails sample.CheckMachine (ooo.Config.Check, or a trace
-// sink) fails the call, naming the job, before any build or scan.
-//
-// Sampled jobs run in scan groups (see package sample): jobs with equal
-// scan keys — the same binary, emulator, cache hierarchy, predictor and
-// instruction cap — share one functional scan per round, and the
-// interval jobs of all a group's members run as one batch on the whole
-// worker pool. Groups run one at a time, in order of first appearance,
-// so only one group's checkpoints are alive at a time. Each estimate is
-// the one the job gets alone.
-func (s *Session) CollectSampled(ctx context.Context, jobs []Job, so sample.Options) ([]Result, error) {
-	var (
-		groups   [][]int // job indices per scan key
-		byKey    = map[scanKey]int{}
-		exact    []Job
-		exactIdx []int
-	)
-	for i, j := range jobs {
-		if j.Kind != runner.Timing || j.Machine.ContextCount() != 1 {
-			exact = append(exact, j)
-			exactIdx = append(exactIdx, i)
-			continue
-		}
-		if err := sample.CheckMachine(j.Machine); err != nil {
-			return nil, fmt.Errorf("%s: %w", sampleLabel(j), err)
-		}
-		k := scanKeyOf(j)
-		g, ok := byKey[k]
-		if !ok {
-			g = len(groups)
-			byKey[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-
-	results := make([]Result, len(jobs))
-	for _, idx := range groups {
-		group := make([]Job, len(idx))
-		for k, i := range idx {
-			group[k] = jobs[i]
-		}
-		out, err := s.sampleGroup(ctx, group, so)
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range idx {
-			out[k].Index = i
-			results[i] = out[k]
-		}
-	}
-	out, err := s.eng.Run(ctx, exact)
-	if err != nil {
-		return nil, err
-	}
-	for k, res := range out {
-		res.Index = exactIdx[k]
-		results[exactIdx[k]] = res
-	}
-	return results, nil
-}
-
 // scanKey is everything a functional scan reads (sample.Scanner.Scan):
 // the binary, the emulator configuration, the cache hierarchy and
 // predictor it warms, and the instruction cap. Timing jobs with equal
@@ -112,6 +42,41 @@ func scanKeyOf(j Job) scanKey {
 	}
 }
 
+// groupKey groups sampled jobs: those with equal keys share one scan per
+// round. The resolved plan is part of it because the scan's intervals,
+// warmup and selection follow the plan.
+type groupKey struct {
+	scan scanKey
+	plan sample.Options
+}
+
+// resolvedPlan is the plan a sampled job runs: its own, capped at the
+// machine's instruction budget, with defaults filled in.
+func resolvedPlan(j Job) sample.Options {
+	opt := *j.Sampling
+	opt.MaxInsts = j.Machine.MaxInsts
+	return opt.WithDefaults()
+}
+
+func hasPlan(j Job) bool { return j.Sampling != nil }
+
+// checkPlan refuses, naming the job, a sampled job that the sampler
+// cannot run: one that is not a Timing job, or whose machine fails
+// sample.CheckMachine (ooo.Config.Check, more than one context, or a
+// trace sink). A job without a plan passes.
+func checkPlan(j Job) error {
+	if j.Sampling == nil {
+		return nil
+	}
+	if j.Kind != runner.Timing {
+		return fmt.Errorf("%s: sampling needs a timing job, not %s", sampleLabel(j), j.Kind)
+	}
+	if err := sample.CheckMachine(j.Machine); err != nil {
+		return fmt.Errorf("%s: %w", sampleLabel(j), err)
+	}
+	return nil
+}
+
 // sampleLabel names a sampled job in errors and in its interval jobs'
 // labels.
 func sampleLabel(j Job) string {
@@ -126,7 +91,7 @@ func sampleLabel(j Job) string {
 // rounds can never add coverage.
 const maxSampleRounds = 5
 
-// sampleGroup runs Timing jobs that share one scan key through the
+// sampleGroup runs sampled jobs that share one group key through the
 // sampler and returns their results in order; each mirrors an exact
 // Timing result (Timing = the estimate rendered as machine stats) and
 // carries the estimate on Sampled. A member whose plan the store holds
@@ -136,7 +101,9 @@ const maxSampleRounds = 5
 // short of its target (TargetCI, else two measured intervals) goes on to
 // a round at half the period. The members that go on have measured the
 // same intervals under the same period, so one scan serves them again,
-// and every estimate equals the member's run alone.
+// and every estimate equals the member's run alone. The group fails
+// with its interval batch's lowest-index failure, so the error does not
+// depend on the worker count.
 //
 // Each register-file class's leader (see package sample), the member
 // with the class's largest file, submits its interval jobs first, and
@@ -145,7 +112,7 @@ const maxSampleRounds = 5
 // most likely finished. No job waits for another: a follower that
 // starts before its leader finishes simulates, and gets the same
 // result.
-func (s *Session) sampleGroup(ctx context.Context, group []Job, so sample.Options) ([]Result, error) {
+func (s *Session) sampleGroup(ctx context.Context, group []Job) ([]Result, error) {
 	key := scanKeyOf(group[0])
 	label := sampleLabel(group[0])
 	ctx, span := obs.StartSpan(ctx, "sample")
@@ -161,9 +128,7 @@ func (s *Session) sampleGroup(ctx context.Context, group []Job, so sample.Option
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
-	opt := so
-	opt.MaxInsts = key.maxInsts
-	opt = opt.WithDefaults()
+	opt := resolvedPlan(group[0])
 
 	results := make([]Result, len(group))
 	finish := func(i int, est sample.Estimate) {
@@ -269,8 +234,14 @@ func (s *Session) sampleGroup(ctx context.Context, group []Job, so sample.Option
 				owners = append(owners, m)
 			}
 		}
-		out, err := s.eng.Run(ctx, ivJobs)
-		// Run has returned, so no job still reads a checkpoint.
+		err := s.eng.Stream(ctx, ivJobs, func(r Result) error {
+			if r.Err != nil {
+				return r.Err
+			}
+			owners[r.Index].measured[r.Interval.Index] = r.Interval
+			return nil
+		})
+		// Stream has returned, so no job still reads a checkpoint.
 		for _, ck := range scan.Checkpoints {
 			if ck.MeasureLen > 0 {
 				done[ck.Index] = true
@@ -279,9 +250,6 @@ func (s *Session) sampleGroup(ctx context.Context, group []Job, so sample.Option
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		for k, r := range out {
-			owners[k].measured[r.Interval.Index] = r.Interval
 		}
 		idxs := make([]int, 0, len(done))
 		for idx := range done {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"dvi/internal/emu"
 	"dvi/internal/obs"
 	"dvi/internal/ooo"
+	"dvi/internal/prog"
 	"dvi/internal/runner"
 	"dvi/internal/sample"
 	"dvi/internal/session"
@@ -36,11 +38,23 @@ func schemeJob(w workload.Spec, scheme emu.Scheme) session.Job {
 	return timingJob(w, cfg)
 }
 
+// sampled returns jobs with plan so on every single-context Timing job,
+// as harness.CollectResults puts it on a sampled report's jobs.
+func sampled(jobs []session.Job, so sample.Options) []session.Job {
+	out := slices.Clone(jobs)
+	for i, j := range out {
+		if j.Kind == runner.Timing && j.Machine.ContextCount() == 1 {
+			out[i].Sampling = &so
+		}
+	}
+	return out
+}
+
 // sampledAlone runs j through the sampler as a batch of its own: the
 // solo estimate every shared scan must reproduce.
 func sampledAlone(t *testing.T, sess *session.Session, j session.Job, so sample.Options) sample.Estimate {
 	t.Helper()
-	out, err := sess.CollectSampled(context.Background(), []session.Job{j}, so)
+	out, err := sess.Collect(context.Background(), sampled([]session.Job{j}, so))
 	if err != nil {
 		t.Fatalf("%s alone: %v", j.Workload.Key(j.Scale, j.Build), err)
 	}
@@ -140,10 +154,11 @@ func TestSampledTargetCIDensifies(t *testing.T) {
 	}
 }
 
-// TestCollectSampledMixedBatch pins CollectSampled's contract: Timing
-// jobs come back with estimates and rendered stats, non-Timing jobs run
-// exactly, and results keep submission order.
-func TestCollectSampledMixedBatch(t *testing.T) {
+// TestCollectMixedBatch pins Collect's contract for a batch that mixes
+// sampled and exact jobs: sampled Timing jobs come back with estimates
+// and rendered stats, non-Timing jobs run exactly, and results keep
+// submission order.
+func TestCollectMixedBatch(t *testing.T) {
 	ctx := context.Background()
 	sess := session.New()
 	li, _ := workload.ByName("li")
@@ -174,7 +189,7 @@ func TestCollectSampledMixedBatch(t *testing.T) {
 		timing(goW, emu.ElimOff),
 	}
 
-	results, err := sess.CollectSampled(ctx, jobs, samplingTestOpts())
+	results, err := sess.Collect(ctx, sampled(jobs, samplingTestOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +218,8 @@ func TestCollectSampledMixedBatch(t *testing.T) {
 // TestSampledFrontDoorsCheckMachine sends the sampler machines it
 // cannot run: a 65-entry LVM-Stack and a negative window. Each answers
 // an error that names the problem, before any build, where they used to
-// panic in a worker and end the process. (A 2-context machine is no
-// sampled job: CollectSampled runs it exactly.)
+// panic in a worker and end the process. (A 2-context machine gets no
+// plan: a sampled report runs it exactly.)
 func TestSampledFrontDoorsCheckMachine(t *testing.T) {
 	ctx := context.Background()
 	rc := &recordingCompile{}
@@ -213,9 +228,9 @@ func TestSampledFrontDoorsCheckMachine(t *testing.T) {
 
 	deep := ooo.DefaultConfig()
 	deep.Emu.DVI.StackDepth = 65
-	if _, err := sess.CollectSampled(ctx, []session.Job{timingJob(li, deep)}, samplingTestOpts()); err == nil ||
+	if _, err := sess.Collect(ctx, sampled([]session.Job{timingJob(li, deep)}, samplingTestOpts())); err == nil ||
 		!strings.Contains(err.Error(), "stack_depth") {
-		t.Errorf("CollectSampled with stack depth 65: err = %v, want a stack_depth error", err)
+		t.Errorf("sampled Collect with stack depth 65: err = %v, want a stack_depth error", err)
 	}
 	good := ooo.DefaultConfig()
 	bad := ooo.DefaultConfig()
@@ -224,9 +239,9 @@ func TestSampledFrontDoorsCheckMachine(t *testing.T) {
 		{Label: "good", Workload: li, Scale: 1, Build: session.BuildOptionsFor(core.Full), Kind: runner.Timing, Machine: good},
 		{Label: "negative window", Workload: li, Scale: 1, Build: session.BuildOptionsFor(core.Full), Kind: runner.Timing, Machine: bad},
 	}
-	if _, err := sess.CollectSampled(ctx, jobs, samplingTestOpts()); err == nil ||
+	if _, err := sess.Collect(ctx, sampled(jobs, samplingTestOpts())); err == nil ||
 		!strings.Contains(err.Error(), "negative window") || !strings.Contains(err.Error(), "window_size") {
-		t.Errorf("CollectSampled with window -1: err = %v, want an error naming the job and window_size", err)
+		t.Errorf("sampled Collect with window -1: err = %v, want an error naming the job and window_size", err)
 	}
 	if n := rc.count.Load(); n != 0 {
 		t.Errorf("%d builds ran before the machine checks failed, want 0", n)
@@ -235,8 +250,8 @@ func TestSampledFrontDoorsCheckMachine(t *testing.T) {
 
 // TestSampledFrontDoorsRefuseTrace sends the sampler a traced machine.
 // Every interval job would emit into its one trace buffer at once, and
-// the buffer has no lock; CollectSampled answers sample.ErrTraced
-// instead, before any build.
+// the buffer has no lock; Collect answers sample.ErrTraced instead,
+// before any build.
 func TestSampledFrontDoorsRefuseTrace(t *testing.T) {
 	ctx := context.Background()
 	rc := &recordingCompile{}
@@ -248,16 +263,16 @@ func TestSampledFrontDoorsRefuseTrace(t *testing.T) {
 
 	jobs := []session.Job{{Label: "traced", Workload: compress, Scale: 1,
 		Build: session.BuildOptionsFor(core.Full), Kind: runner.Timing, Machine: traced}}
-	if _, err := sess.CollectSampled(ctx, jobs, samplingTestOpts()); !errors.Is(err, sample.ErrTraced) ||
+	if _, err := sess.Collect(ctx, sampled(jobs, samplingTestOpts())); !errors.Is(err, sample.ErrTraced) ||
 		!strings.Contains(err.Error(), "traced") {
-		t.Errorf("CollectSampled on a traced machine: err = %v, want sample.ErrTraced naming the job", err)
+		t.Errorf("sampled Collect on a traced machine: err = %v, want sample.ErrTraced naming the job", err)
 	}
 	if n := rc.count.Load(); n != 0 {
 		t.Errorf("%d builds ran before the trace checks failed, want 0", n)
 	}
 }
 
-// groupGrid is an interleaved CollectSampled batch over one workload:
+// groupGrid is an interleaved sampled batch over one workload:
 // four timing jobs on one scan key that differ in the physical
 // registers, width, ports and window the figure sweeps vary; two on a
 // second key (no elimination, so another emulator configuration); one
@@ -287,13 +302,13 @@ func groupGrid(maxInsts uint64) (jobs []session.Job, groupA []int) {
 	return jobs, []int{0, 3, 4, 6}
 }
 
-// TestCollectSampledSharedScanMatchesSolo pins that a shared scan gives
+// TestSampledSharedScanMatchesSolo pins that a shared scan gives
 // each job the estimate it gets alone: at one and eight workers, at a
 // target CI that ends every job after one round and at one that sends
 // half of a group to a denser round, and with half of a group answered
 // from the store. Members of a group run their intervals concurrently
 // from the same checkpoints, which the race detector watches here.
-func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
+func TestSampledSharedScanMatchesSolo(t *testing.T) {
 	ctx := context.Background()
 	jobs, groupA := groupGrid(80_000)
 	so := samplingTestOpts()
@@ -335,7 +350,7 @@ func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
 
 	check := func(name string, sess *session.Session, so sample.Options, want map[int]sample.Estimate) {
 		t.Helper()
-		results, err := sess.CollectSampled(ctx, jobs, so)
+		results, err := sess.Collect(ctx, sampled(jobs, so))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -410,10 +425,10 @@ func TestCollectSampledSharedScanMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestCollectSampledScansOncePerGroup counts the sampler's spans: a grid
+// TestSampledScansOncePerGroup counts the sampler's spans: a grid
 // of N timing jobs over K scan keys, each done after one round, scans
 // K times, not N times, and still aggregates every job.
-func TestCollectSampledScansOncePerGroup(t *testing.T) {
+func TestSampledScansOncePerGroup(t *testing.T) {
 	var (
 		mu     sync.Mutex
 		counts = map[string]int{}
@@ -427,7 +442,7 @@ func TestCollectSampledScansOncePerGroup(t *testing.T) {
 	ctx := obs.WithRecorder(context.Background(), rec)
 	jobs, _ := groupGrid(40_000)
 
-	if _, err := session.New().CollectSampled(ctx, jobs, samplingTestOpts()); err != nil {
+	if _, err := session.New().Collect(ctx, sampled(jobs, samplingTestOpts())); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -438,5 +453,139 @@ func TestCollectSampledScansOncePerGroup(t *testing.T) {
 	}
 	if counts["aggregate"] != 7 {
 		t.Errorf("%d aggregations, want one per timing job (7)", counts["aggregate"])
+	}
+}
+
+// TestRunMixesExactAndSampledJobs runs one batch of exact jobs, sampled
+// jobs on two scan keys, and two sampled jobs on a third whose build
+// fails. Run streams one result per job in submission order; only the
+// failing group's members carry an error, and every other result is the
+// one the job gets from Collect alone.
+func TestRunMixesExactAndSampledJobs(t *testing.T) {
+	ctx := context.Background()
+	compile := func(s workload.Spec, scale int, opt workload.BuildOptions) (*prog.Program, *prog.Image, error) {
+		if s.Name == "broken" {
+			return nil, nil, errors.New("boom: broken")
+		}
+		return workload.CompileSpec(s, scale, opt)
+	}
+	sess := session.New(session.WithWorkers(2), session.WithCompile(compile))
+	li, _ := workload.ByName("li")
+	so := samplingTestOpts()
+	job := func(label string, w workload.Spec, scheme emu.Scheme, plan *sample.Options, tweak func(*ooo.Config)) session.Job {
+		cfg := ooo.DefaultConfig()
+		cfg.Emu = session.EmuConfigFor(core.Full, scheme)
+		cfg.MaxInsts = 60_000
+		tweak(&cfg)
+		return session.Job{Label: label, Workload: w, Scale: 1, Build: session.BuildOptionsFor(core.Full),
+			Kind: runner.Timing, Machine: cfg, Sampling: plan}
+	}
+	same := func(*ooo.Config) {}
+	jobs := []session.Job{
+		job("exact", li, emu.ElimLVMStack, nil, same),
+		job("a sampled", li, emu.ElimLVMStack, &so, same),
+		job("broken sampled", workload.Spec{Name: "broken"}, emu.ElimLVMStack, &so, same),
+		{Label: "functional", Workload: li, Scale: 1, Build: session.BuildOptionsFor(core.Full),
+			Kind: runner.Functional, Emu: session.EmuConfigFor(core.Full, emu.ElimLVMStack)},
+		job("b sampled", li, emu.ElimOff, &so, same),
+		job("a sampled regs", li, emu.ElimLVMStack, &so, func(c *ooo.Config) { c.PhysRegs = 40 }),
+		job("broken sampled regs", workload.Spec{Name: "broken"}, emu.ElimLVMStack, &so, func(c *ooo.Config) { c.PhysRegs = 40 }),
+		job("exact narrow", li, emu.ElimLVMStack, nil, func(c *ooo.Config) { c.IssueWidth = 2 }),
+	}
+	var results []session.Result
+	if err := sess.Run(ctx, jobs, func(res session.Result) error {
+		results = append(results, res)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(jobs) {
+		t.Fatalf("Run streamed %d results, want %d", len(results), len(jobs))
+	}
+	for i, res := range results {
+		if res.Index != i {
+			t.Fatalf("result %d streamed at position %d", res.Index, i)
+		}
+		broken := jobs[i].Workload.Name == "broken"
+		if broken != (res.Err != nil) {
+			t.Errorf("%s: Err = %v", jobs[i].Label, res.Err)
+		}
+		if broken {
+			if !strings.Contains(res.Err.Error(), "boom: broken") {
+				t.Errorf("%s: Err = %v, want the build failure", jobs[i].Label, res.Err)
+			}
+			continue
+		}
+		alone, err := sess.Collect(ctx, []session.Job{jobs[i]})
+		if err != nil {
+			t.Fatalf("%s alone: %v", jobs[i].Label, err)
+		}
+		// A Job holds its workload's build function, which DeepEqual
+		// never equates; the label stands for the echoed job.
+		got, want := res, alone[0]
+		if got.Job.Label != jobs[i].Label || want.Job.Label != jobs[i].Label {
+			t.Errorf("%s: results echo jobs %q and %q", jobs[i].Label, got.Job.Label, want.Job.Label)
+		}
+		got.Job, want.Job, want.Index = session.Job{}, session.Job{}, i
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: batch result differs from its run alone:\n got %+v\nwant %+v", jobs[i].Label, got, want)
+		}
+		if (jobs[i].Sampling != nil) != (res.Sampled != nil) {
+			t.Errorf("%s: Sampled = %v", jobs[i].Label, res.Sampled)
+		}
+	}
+}
+
+// TestRunSplitsScansByPlan pins that the plan is part of the scan key:
+// jobs on one scan key whose resolved plans differ never share a scan,
+// and jobs whose plans resolve alike do. Each estimate is the one the
+// job gets alone.
+func TestRunSplitsScansByPlan(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		counts = map[string]int{}
+	)
+	rec := obs.NewRecorder(1)
+	rec.OnRecord = func(root *obs.Span) {
+		mu.Lock()
+		defer mu.Unlock()
+		root.Visit(func(s *obs.Span) { counts[s.Name()]++ })
+	}
+	ctx := obs.WithRecorder(context.Background(), rec)
+	w, _ := workload.ByName("go")
+	job := func(label string, plan sample.Options, phys int) session.Job {
+		cfg := ooo.DefaultConfig()
+		cfg.MaxInsts = 80_000
+		cfg.PhysRegs = phys
+		j := timingJob(w, cfg)
+		j.Label, j.Sampling = label, &plan
+		return j
+	}
+	so := samplingTestOpts()
+	finer := so
+	finer.Interval = 2000
+	jobs := []session.Job{
+		job("plan", so, 64),
+		job("finer plan", finer, 64),
+		job("default warmup and period", sample.Options{Interval: 4000}, 64),
+		job("plan, fewer registers", so, 48),
+		job("explicit defaults", sample.Options{Interval: 4000, Warmup: 800, Period: sample.DefaultPeriod}, 48),
+	}
+	sess := session.New(session.WithWorkers(2))
+	results, err := sess.Collect(ctx, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	scans, samples := counts["scan"], counts["sample"]
+	mu.Unlock()
+	if scans != 3 || samples != 3 {
+		t.Errorf("5 jobs on one scan key under 3 resolved plans ran %d scans in %d sampler spans, want 3 and 3",
+			scans, samples)
+	}
+	for i, res := range results {
+		if want := sampledAlone(t, sess, jobs[i], *jobs[i].Sampling); !reflect.DeepEqual(*res.Sampled, want) {
+			t.Errorf("%s: estimate differs from its run alone:\n got %+v\nwant %+v", jobs[i].Label, *res.Sampled, want)
+		}
 	}
 }

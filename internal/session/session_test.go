@@ -376,6 +376,42 @@ func TestRunToleratesPerJobFailures(t *testing.T) {
 	}
 }
 
+// TestCollectReturnsLowestIndexFailure pins Collect's failure rule: when
+// a later job fails first in time, Collect still returns the failure
+// with the lowest index, so a failing batch names the same job at any
+// worker count.
+func TestCollectReturnsLowestIndexFailure(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		earlyFailed := make(chan struct{})
+		compile := buildOnly(func(name string) {
+			switch name {
+			case "fail-early":
+				close(earlyFailed)
+			case "fail-late":
+				// With room to run concurrently, the later job fails
+				// first; at one worker it has not started, so give up
+				// waiting for it.
+				select {
+				case <-earlyFailed:
+					time.Sleep(20 * time.Millisecond)
+				case <-time.After(200 * time.Millisecond):
+				}
+			}
+		})
+		sess := session.New(session.WithWorkers(workers), session.WithCompile(compile))
+		jobs := []session.Job{
+			{Label: "first", Workload: spec("ok"), Kind: runner.Build},
+			{Label: "late", Workload: spec("fail-late"), Kind: runner.Build},
+			{Label: "early", Workload: spec("fail-early"), Kind: runner.Build},
+			{Label: "last", Workload: spec("ok2"), Kind: runner.Build},
+		}
+		_, err := sess.Collect(context.Background(), jobs)
+		if err == nil || !strings.Contains(err.Error(), "late: boom: fail-late") {
+			t.Errorf("%d workers: Collect returned %v, want job 1's failure", workers, err)
+		}
+	}
+}
+
 // TestRunEmitErrorCancelsBatch: a non-nil error from the callback aborts
 // the stream and is returned verbatim.
 func TestRunEmitErrorCancelsBatch(t *testing.T) {
